@@ -195,7 +195,7 @@ WORKLOADS: tuple[WorkloadInfo, ...] = (
         "suite-build",
         "regenerates the 40-trace TraceBench at the seed: simulation substrate only, "
         "the diagnosis stack is the control",
-        loop="closed, 1 builder",
+        loop="closed, 1 client",
         heavy_share="n/a (40 TraceBench scenarios, ~827k DXT segments)",
         dxt_share="all traces carry in-memory DXT; no text is rendered",
         duplicate_share="0",
