@@ -14,14 +14,16 @@ Each mode writes one JSON result to the job's ``out`` path.  Set-up ends
 when the program is ready for work; the orchestrator subtracts its own
 spawn time (both read the system-wide monotonic clock).
 
-Passes run back to back while the next one is expected to end within
-``seconds``; at least one pass always runs.  Serving modes first run one
-warm-up pass that is checked but not timed: a long-running server pays
-its first-pass costs (allocator growth, first calls of lazily imported
-code) once, and on a 2-vCPU Xeon container they made the first pass of
-a run up to 1.5x slower than the rest.  With ``trace`` set, the time is split: untraced passes
-first, then traced passes in the same process, which gives the tracing
-overhead.
+Every request (or scenario build) is timed in wall-clock and CPU time
+and followed by reference chunks that sample the host's speed; see
+``_measured_pass``.  Passes run back to back while the next one is
+expected to end within ``seconds``; at least one pass always runs.
+Serving modes first run one warm-up pass that is checked but not timed:
+a long-running server pays its first-pass costs (allocator growth, first
+calls of lazily imported code) once, and on a 2-vCPU Xeon container they
+made the first pass of a run up to 1.5x slower than the rest.  With
+``trace`` set, the time is split: untraced passes first, then traced
+passes in the same process, which gives the tracing overhead.
 
 The result holds one part per phase (``warmup``, ``untraced``,
 ``traced``), each with its requests and per-pass summaries.
@@ -34,8 +36,9 @@ import json
 import resource
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 PERFBENCH = Path(__file__).resolve().parent
 sys.path[:0] = [str(PERFBENCH.parent / "src"), str(PERFBENCH)]
@@ -50,6 +53,60 @@ RESULT_TIMEOUT_S = 120.0
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# The reference: a fixed chunk of pure-Python work (string formatting,
+# dict updates, integer arithmetic) and the CPU seconds it takes when
+# the host is quiet (2-vCPU Xeon container, Python 3.11).
+REFERENCE_LOOPS = 8_000
+REFERENCE_S = 0.0025
+# After each unit of work, reference chunks take this share of its CPU
+# time (at least one chunk), so the host's speed is sampled in step
+# with the work.
+REFERENCE_SHARE = 0.1
+
+
+def _reference() -> tuple[float, float]:
+    """Wall and CPU seconds of one reference chunk."""
+    start, cpu_start = time.perf_counter(), time.process_time()
+    table: dict[str, int] = {}
+    for i in range(REFERENCE_LOOPS):
+        key = f"k{i % 499}"
+        table[key] = table.get(key, 0) + len(key) * i % 7
+    return time.perf_counter() - start, time.process_time() - cpu_start
+
+
+def _measured_pass(units: Iterable[Callable[[], dict[str, Any]]]) -> tuple[list, dict]:
+    """Run each unit of work, then reference chunks; time the pass.
+
+    The host's speed drifts by tens of percent within seconds, so each
+    unit's CPU time is also given at reference speed (``norm_seconds``):
+    scaled by ``REFERENCE_S`` over the mean of the chunks run right
+    before and right after it.  The pass timing leaves the chunks out;
+    its ``norm_seconds`` is the sum over its units.
+    """
+    records: list[dict[str, Any]] = []
+    ref_wall = 0.0
+    started = time.perf_counter()
+    for unit in units:
+        record = unit()
+        chunks = max(1, round(REFERENCE_SHARE * record["cpu_seconds"] / REFERENCE_S))
+        record["ref_cpu_seconds"] = []
+        for _ in range(chunks):
+            wall, cpu = _reference()
+            ref_wall += wall
+            record["ref_cpu_seconds"].append(cpu)
+        records.append(record)
+    seconds = time.perf_counter() - started - ref_wall
+    before: list[float] = []
+    for record in records:
+        near = before + record["ref_cpu_seconds"]
+        record["norm_seconds"] = record["cpu_seconds"] * REFERENCE_S * len(near) / sum(near)
+        before = record["ref_cpu_seconds"]
+    return records, {
+        "seconds": seconds,
+        "norm_seconds": sum(record["norm_seconds"] for record in records),
+    }
 
 
 def _keep_going(elapsed: float, passes: int, seconds: float) -> bool:
@@ -67,7 +124,7 @@ def _request(
     record: dict[str, Any] = {"file": item["file"], "trace_id": trace_id}
     submit_returned = None
     report = None
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     frame = tracer.begin_request(index, "request")
     try:
         with tracer.span("client.read"):
@@ -79,9 +136,10 @@ def _request(
         report = pending.result(timeout=RESULT_TIMEOUT_S)
     except Exception as exc:  # noqa: BLE001 - every failure is counted, not raised
         record["error"] = f"{type(exc).__name__}: {exc}"
-    end = time.perf_counter()
+    end, cpu_end = time.perf_counter(), time.process_time()
     tracer.end_request(frame, submit_returned)
     record["seconds"] = end - start
+    record["cpu_seconds"] = cpu_end - cpu_start
     if report is not None:
         sha = _sha(report.text)
         texts.setdefault(sha, report.text)
@@ -102,12 +160,12 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _pass_summary(server: Any, seconds: float) -> dict[str, Any]:
+def _pass_summary(server: Any, timing: dict[str, float]) -> dict[str, Any]:
     service = server.service
     stats = service.stats()
     client = getattr(service.tool, "client", None)
     summary: dict[str, Any] = {
-        "seconds": seconds,
+        **timing,
         "counters": server.counters.as_dict(),
         "cache_hits": stats.cache_hits,
         "cache_misses": stats.cache_misses,
@@ -143,17 +201,18 @@ def serve_passes(
     while True:
         server = first_server if first_server is not None else make_server(index)
         first_server = None
-        started = time.perf_counter()
-        for item in pass_order(items, seed, mode, index):
-            for copy in range(copies):
-                trace_id = f"{item['scenario']}/p{index}/c{copy}"
-                requests.append(
-                    _request(server, parse, item, trace_id, len(requests), tracer, texts)
-                )
-        duration = time.perf_counter() - started
+        order = [
+            (item, copy) for item in pass_order(items, seed, mode, index) for copy in range(copies)
+        ]
+        records, timing = _measured_pass(
+            partial(_request, server, parse, item, f"{item['scenario']}/p{index}/c{copy}",
+                    len(requests) + n, tracer, texts)
+            for n, (item, copy) in enumerate(order)
+        )
+        requests += records
         server.close()
-        passes.append(_pass_summary(server, duration))
-        elapsed += duration
+        passes.append(_pass_summary(server, timing))
+        elapsed += timing["seconds"]
         index += 1
         if not _keep_going(elapsed, len(passes), seconds):
             break
@@ -218,30 +277,35 @@ def suite_passes(
     passes: list[dict[str, Any]] = []
     elapsed = 0.0
     while True:
-        built = []
-        started = time.perf_counter()
-        for scenario in roster:
+        built: list[tuple[dict[str, Any], Any]] = []
+
+        def build_one(scenario: Any, index: int) -> dict[str, Any]:
             record: dict[str, Any] = {"scenario": scenario.name}
             trace = None
-            t0 = time.perf_counter()
-            frame = tracer.begin_request(len(builds), "workloads.build_scenario")
+            start, cpu_start = time.perf_counter(), time.process_time()
+            frame = tracer.begin_request(index, "workloads.build_scenario")
             try:
                 trace = build(scenario, seed=seed)
             except Exception as exc:  # noqa: BLE001 - every failure is counted
                 record["error"] = f"{type(exc).__name__}: {exc}"
-            end = time.perf_counter()
+            end, cpu_end = time.perf_counter(), time.process_time()
             tracer.end_request(frame, None)
-            record["seconds"] = end - t0
-            builds.append(record)
+            record["seconds"] = end - start
+            record["cpu_seconds"] = cpu_end - cpu_start
             built.append((record, trace))
-        duration = time.perf_counter() - started
+            return record
+
+        records, timing = _measured_pass(
+            partial(build_one, scenario, len(builds) + n) for n, scenario in enumerate(roster)
+        )
+        builds += records
         for record, trace in built:
             if trace is not None:
                 record["digest"] = trace_digest(trace.log)
                 record["records"] = len(trace.log.records)
         del built
-        passes.append({"seconds": duration, "rss_mb": _peak_rss_mb()})
-        elapsed += duration
+        passes.append(dict(timing, rss_mb=_peak_rss_mb()))
+        elapsed += timing["seconds"]
         if not _keep_going(elapsed, len(passes), seconds):
             break
     return {"requests": builds, "passes": passes}

@@ -1,6 +1,6 @@
 """The benchmark's one command.
 
-    python3 perfbench/run.py --workload cold-diagnose --seed 0 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload cold-diagnose --seed 0 --seconds 25 --trace 0
 
 Run from the repository root.  ``--workload`` is one of
 ``cold-diagnose``, ``warm-resubmit`` or ``suite-build`` (see
@@ -49,6 +49,20 @@ from workloads import SERVING_MIX, SUITE_SELECTOR, MixEntry, generate_inputs  # 
 SETUP_PROBES = 6
 # Every run must end well inside the three minutes a run is allowed.
 DEADLINE_S = 170.0
+# The measured processes use one glibc malloc arena.  With the default
+# (up to 8 per core), which arena each pipeline thread lands in depends
+# on thread timing, and the peak RSS of cold-diagnose read 193-258 MB
+# over ten seeds (188-210 MB for one seed); with one arena, 156-159 MB.
+CHILD_ENV = {"MALLOC_ARENA_MAX": "1"}
+# Set-up is mostly interpreter work (imports, unmarshalling, module
+# code), so its speed is taken from bare interpreter starts run right
+# before it: ``setup_s`` is the spawn-to-ready time scaled by
+# ``INTERPRETER_S`` (a bare start on a quiet host) over the median of
+# ``INTERPRETER_STARTS`` of them.  Over 207 set-ups spanning the host's
+# fast and slow spells, this read with a spread of 0.07; scaled by the
+# reference chunks instead, 0.25, and unscaled, 0.29.
+INTERPRETER_S = 0.055
+INTERPRETER_STARTS = 3
 
 
 class BenchError(RuntimeError):
@@ -72,6 +86,7 @@ class _Jobs:
         out = self.work / f"result-{self.count}.json"
         job_path = self.work / f"job-{self.count}.json"
         job_path.write_text(json.dumps(dict(job, out=str(out), work=str(self.work))))
+        interpreter = statistics.median(self._bare_start() for _ in range(INTERPRETER_STARTS))
         remaining = self.deadline - time.monotonic()
         if remaining <= 0:
             raise BenchError(f"no time left for the {job['mode']} process")
@@ -79,6 +94,7 @@ class _Jobs:
         proc = subprocess.Popen(
             [sys.executable, str(PERFBENCH / "client.py"), str(job_path)],
             cwd=self.root,
+            env=dict(os.environ, **CHILD_ENV),
             stdout=subprocess.DEVNULL,
         )
         try:
@@ -92,14 +108,22 @@ class _Jobs:
         if code != 0:
             raise BenchError(f"the {job['mode']} process exited with code {code}")
         result = json.loads(out.read_text())
-        result["setup_s"] = result["ready"] - spawned
+        result["setup_wall_s"] = result["ready"] - spawned
+        result["setup_s"] = result["setup_wall_s"] * INTERPRETER_S / interpreter
         return result
 
-    def setup_times(self, kind: str, base: dict[str, Any]) -> list[float]:
+    def _bare_start(self) -> float:
+        """Wall seconds to start and end an interpreter that does nothing."""
+        started = time.monotonic()
+        subprocess.run(
+            [sys.executable, "-c", "pass"], cwd=self.root, env=dict(os.environ, **CHILD_ENV),
+            check=True, timeout=max(1.0, self.deadline - started),
+        )
+        return time.monotonic() - started
+
+    def setup_times(self, kind: str, base: dict[str, Any]) -> list[dict[str, Any]]:
         return [
-            self.run(dict(base, mode=f"setup-{kind}", store=str(self.work / f"probe-{i}")))[
-                "setup_s"
-            ]
+            self.run(dict(base, mode=f"setup-{kind}", store=str(self.work / f"probe-{i}")))
             for i in range(SETUP_PROBES)
         ]
 
@@ -107,13 +131,27 @@ class _Jobs:
 # -- statistics ---------------------------------------------------------------
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Linear-interpolated percentile (``q`` in [0, 1]) of ``values``."""
+def percentile(values: list[float], q: float, steps: int = 20_000) -> float:
+    """Harrell-Davis estimate of the ``q`` quantile (``q`` in (0, 1)).
+
+    A weighted mean of every order statistic, with weights from the
+    Beta(q(n+1), (1-q)(n+1)) distribution.  Its run-to-run spread is
+    lower than that of one or two order statistics, which matters when a
+    workload has few samples (40 scenario builds) or bursts of host
+    noise land on single samples.  The Beta density is integrated at
+    ``steps`` cell midpoints.
+    """
     ordered = sorted(values)
-    position = q * (len(ordered) - 1)
-    low = math.floor(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
+    n = len(ordered)
+    if n == 1:
+        return ordered[0]
+    a, b = q * (n + 1), (1 - q) * (n + 1)
+    cdf = [0.0]
+    for k in range(steps):
+        t = (k + 0.5) / steps
+        cdf.append(cdf[-1] + math.exp((a - 1) * math.log(t) + (b - 1) * math.log1p(-t)))
+    edges = [cdf[round(i * steps / n)] / cdf[-1] for i in range(n + 1)]
+    return sum((hi - lo) * x for lo, hi, x in zip(edges, edges[1:], ordered))
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -186,23 +224,35 @@ def check_suite(part: dict[str, Any]) -> list[str]:
 
 
 def _latency_metrics(part: dict[str, Any]) -> tuple[dict[str, float], dict[str, str]]:
-    """Pooled latency percentiles and the median per-pass throughput."""
-    ok = [r["seconds"] for r in part["requests"] if "failure" not in r]
+    """Pooled latency percentiles and the median per-pass throughput.
+
+    Each is given twice: at reference speed (``norm_`` metrics, see
+    ``client._measured_pass``) and in wall-clock time as measured.
+    """
+    ok = [r for r in part["requests"] if "failure" not in r]
     per_pass = len(part["requests"]) // len(part["passes"])
-    rates = [
-        _ratio(sum("failure" not in r for r in part["requests"][i * per_pass:(i + 1) * per_pass]),
-               p["seconds"])
-        for i, p in enumerate(part["passes"])
+    completed = [
+        sum("failure" not in r for r in part["requests"][i * per_pass:(i + 1) * per_pass])
+        for i in range(len(part["passes"]))
     ]
-    measured = sum(p["seconds"] for p in part["passes"])
-    values = {"throughput_per_s": statistics.median(rates)}
-    notes = {"throughput_per_s": f"median of {len(rates)} pass(es); "
-                                 f"{len(ok)} completed in {measured:.3f} s"}
-    if ok:
-        p50, p90 = percentile(ok, 0.5), percentile(ok, 0.9)
-        values.update(latency_p50_s=p50, latency_p90_s=p90)
-        notes["latency_p50_s"] = f"n={len(ok)}"
-        notes["latency_p90_s"] = f"n={len(ok)}, {sum(v > p90 for v in ok)} beyond"
+    values: dict[str, float] = {}
+    notes: dict[str, str] = {}
+    for prefix, clock, rate in (
+        ("norm_", "norm_seconds", "norm_throughput_per_s"), ("", "seconds", "throughput_per_s")
+    ):
+        measured = sum(p[clock] for p in part["passes"])
+        values[rate] = statistics.median(
+            _ratio(n, p[clock]) for n, p in zip(completed, part["passes"])
+        )
+        notes[rate] = (f"median of {len(completed)} pass(es); "
+                       f"{len(ok)} completed in {measured:.3f} s")
+        if ok:
+            samples = [r[clock] for r in ok]
+            p50, p90 = percentile(samples, 0.5), percentile(samples, 0.9)
+            values[f"{prefix}latency_p50_s"] = p50
+            values[f"{prefix}latency_p90_s"] = p90
+            notes[f"{prefix}latency_p50_s"] = f"n={len(ok)}, Harrell-Davis"
+            notes[f"{prefix}latency_p90_s"] = f"n={len(ok)}, {sum(v > p90 for v in samples)} beyond"
     return values, notes
 
 
@@ -247,8 +297,8 @@ def layer_metrics(
     values["serve.server.queue_wait_pct"] = 100.0 * _ratio(
         table.get("serve.server.queue_wait", empty)[1], total
     )
-    untraced_rate = _latency_metrics(untraced)[0]["throughput_per_s"]
-    traced_rate = _latency_metrics(traced)[0]["throughput_per_s"]
+    untraced_rate = _latency_metrics(untraced)[0]["norm_throughput_per_s"]
+    traced_rate = _latency_metrics(traced)[0]["norm_throughput_per_s"]
     values["trace.overhead_pct"] = 100.0 * (1.0 - _ratio(traced_rate, untraced_rate))
     if workload == "suite-build":
         values["sim.ops_per_scenario"] = _ratio(traced["trace"]["counters"].get("sim.ops", 0), roots)
@@ -333,8 +383,8 @@ def run_workload(
 
 
 def _evaluate(
-    workload: str, result: dict[str, Any], setups: list[float], expected: dict[str, str],
-    items: list[dict[str, Any]], trace: bool,
+    workload: str, result: dict[str, Any], setups: list[dict[str, Any]],
+    expected: dict[str, str], items: list[dict[str, Any]], trace: bool,
 ) -> dict[str, Any]:
     parts = [result[name] for name in ("warmup", "untraced", "traced") if name in result]
     reasons: list[str] = []
@@ -349,9 +399,10 @@ def _evaluate(
     labels = {item["file"]: item["labels"] for item in items}
     untraced = result["untraced"]
     e2e, notes = _latency_metrics(untraced)
-    setup_values = setups + [result["setup_s"]]
-    e2e["setup_s"] = statistics.median(setup_values)
-    notes["setup_s"] = f"median of {len(setup_values)} fresh interpreter(s)"
+    probes = setups + [result]
+    e2e["setup_s"] = statistics.median(p["setup_s"] for p in probes)
+    e2e["setup_wall_s"] = statistics.median(p["setup_wall_s"] for p in probes)
+    notes["setup_s"] = notes["setup_wall_s"] = f"median of {len(probes)} fresh interpreter(s)"
     # Every pass does the same work; later passes only add allocator
     # fragmentation, and how many passes fit depends on machine speed.
     e2e["peak_rss_mb"] = untraced["passes"][0]["rss_mb"]
@@ -425,11 +476,12 @@ def report(outcome: dict[str, Any], seed: int, seconds: float) -> dict[str, Any]
         value = outcome["e2e"].get(metric.name, float("nan"))
         note = outcome["notes"].get(metric.name, "")
         print(f"  {metric.name:<26} {value:>12.6f} {metric.unit:<6} {metric.better:<7} {note}")
+    measured = {**outcome["e2e"], **outcome["reported"]}
     for metric in spec.REPORTED_E2E:
-        if metric.name in outcome["reported"]:
-            value = outcome["reported"][metric.name]
-            print(f"  {metric.name:<26} {value:>12.6f} {metric.unit:<6} {metric.better:<7} "
-                  "reported, no bound")
+        if metric.name in measured:
+            note = outcome["notes"].get(metric.name, "")
+            print(f"  {metric.name:<26} {measured[metric.name]:>12.6f} {metric.unit:<6} "
+                  f"{metric.better:<7} reported, no bound; {note}".rstrip("; "))
     print(f"  operations: {outcome['attempted']} attempted, {outcome['failed']} failed")
     for reason in outcome["reasons"][:20]:
         print(f"  FAILED {reason}")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import client
 import run
 import spec
 from tracer import layer_table
@@ -108,7 +109,7 @@ def _warm_over(store_edit) -> dict:
         expected = {r["file"]: r["sha"] for r in prime["requests"]}
         store_edit(sorted((work / "store").glob("*.json"))[0])
         result = jobs.run(dict(base, mode="warm"))
-        return run._evaluate("warm-resubmit", result, [0.1], expected, items, False)
+        return run._evaluate("warm-resubmit", result, [], expected, items, False)
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -177,9 +178,30 @@ def test_self_time_subtracts_the_union_of_parallel_children() -> None:
     assert table["sim.filesystem"] == [5, 4.0, 3.0]
 
 
-def test_percentile_interpolates() -> None:
-    assert run.percentile([4.0, 1.0, 3.0, 2.0], 0.5) == 2.5
-    assert run.percentile([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0], 0.9) == 10.0
+def test_percentile_weights_every_order_statistic() -> None:
+    assert run.percentile([4.0, 1.0, 3.0, 2.0], 0.5) == pytest.approx(2.5)
+    assert run.percentile([7.0], 0.9) == 7.0
+    # Harrell-Davis: above the 10th order statistic, below the 11th, and
+    # moved by the largest sample, which a two-point interpolation ignores.
+    values = [float(v) for v in range(1, 12)]
+    p90 = run.percentile(values, 0.9)
+    assert 10.0 < p90 < 11.0
+    assert run.percentile(values[:-1] + [100.0], 0.9) > p90
+
+
+def test_reference_speed_scales_each_unit_by_the_chunks_around_it() -> None:
+    units = [lambda: {"cpu_seconds": 0.01}, lambda: {"cpu_seconds": 0.5}]
+    records, timing = client._measured_pass(units)
+    first, second = (r["ref_cpu_seconds"] for r in records)
+    assert len(first) == 1 and len(second) == 20  # REFERENCE_SHARE of each unit
+    assert records[0]["norm_seconds"] == pytest.approx(
+        0.01 * client.REFERENCE_S / first[0]
+    )
+    near = first + second
+    assert records[1]["norm_seconds"] == pytest.approx(
+        0.5 * client.REFERENCE_S * len(near) / sum(near)
+    )
+    assert timing["norm_seconds"] == pytest.approx(sum(r["norm_seconds"] for r in records))
 
 
 def test_outside_a_checkout_it_exits_nonzero_without_a_result(tmp_path: Path) -> None:
