@@ -29,7 +29,7 @@ from repro.core.pipeline import PipelineContext, PipelineObserver
 from repro.core.registry import DiagnosticTool, get_tool
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
-from repro.darshan.writer import render_darshan_text
+from repro.darshan.writer import iter_darshan_text
 from repro.llm.client import FaultEvent, Usage
 from repro.util.parallel import parallel_map
 
@@ -48,9 +48,12 @@ def trace_digest(log: DarshanLog) -> str:
     Covers both evidence channels: the parser-text rendering of the
     counters and, when present, the DXT segment table — two logs with
     identical counters but different timelines must not share a cache
-    entry.
+    entry.  The counter text is hashed chunk by chunk as it is rendered,
+    never held whole.
     """
-    digest = hashlib.sha256(render_darshan_text(log).encode("utf-8"))
+    digest = hashlib.sha256()
+    for chunk in iter_darshan_text(log):
+        digest.update(chunk.encode("utf-8"))
     if log.dxt_segments:
         from repro.darshan.dxt import dxt_digest
 
@@ -225,38 +228,34 @@ class DiagnosisService:
             config = self.config
         return (trace_digest(log), self.tool.name, repr(config))
 
-    # Pre-serving-layer name, kept for callers that bound to it.
-    _cache_key = cache_key
+    def lookup(
+        self, key: tuple[str, str, str], trace_id: str = "trace"
+    ) -> DiagnosisReport | None:
+        """Serve ``key`` from memory or the persistent store, or None.
 
-    def lookup(self, log: DarshanLog, trace_id: str = "trace") -> DiagnosisReport | None:
-        """Serve ``log`` from memory or the persistent store, or None.
-
-        Never runs the tool — this is the probe the serving layer uses to
-        resolve requests at submit time without burning a queue slot.
-        Hits count toward ``cache_hits`` / ``store_hits``; misses count
-        nothing (only an actual run records a miss).
+        ``key`` is :meth:`cache_key` of the request's log, computed once
+        by the caller.  Never runs the tool — this is the probe the
+        serving layer uses to resolve requests at submit time without
+        burning a queue slot.  Hits count toward ``cache_hits`` /
+        ``store_hits``; misses count nothing (only an actual run records
+        a miss).
         """
         if not self._cache_enabled:
             return None
-        return self._lookup(self.cache_key(log), trace_id)
-
-    def _lookup(self, key: tuple[str, str, str], trace_id: str) -> DiagnosisReport | None:
         with self._cache_lock:
-            hit = self._cache.get(key)
-            if hit is not None:
+            report = self._cache.get(key)
+            if report is not None:
                 self.cache_hits += 1
-                return hit if hit.trace_id == trace_id else replace(hit, trace_id=trace_id)
-        if self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
+        if report is None and self.store is not None:
+            report = self.store.get(key)
+            if report is not None:
                 with self._cache_lock:
                     self.store_hits += 1
                     # Promote: later identical requests hit memory.
-                    self._cache.setdefault(key, stored)
-                if stored.trace_id != trace_id:
-                    stored = replace(stored, trace_id=trace_id)
-                return stored
-        return None
+                    self._cache.setdefault(key, report)
+        if report is None or report.trace_id == trace_id:
+            return report
+        return replace(report, trace_id=trace_id)
 
     def diagnose(
         self,
@@ -271,25 +270,42 @@ class DiagnosisService:
         hit; the cached report is relabeled with the requested
         ``trace_id``.
         """
-        key = self.cache_key(log) if self._cache_enabled else None
-        if key is not None:
-            hit = self._lookup(key, trace_id)
-            if hit is not None:
-                return hit
+        if not self._cache_enabled:
+            return self._run_tool(log, trace_id, observers)
+        key = self.cache_key(log)
+        hit = self.lookup(key, trace_id)
+        if hit is not None:
+            return hit
+        return self.execute(key, log, trace_id, observers)
+
+    def execute(
+        self,
+        key: tuple[str, str, str],
+        log: DarshanLog,
+        trace_id: str = "trace",
+        observers: Sequence[PipelineObserver] = (),
+    ) -> DiagnosisReport:
+        """Run the tool on ``log`` and record a clean report under ``key``.
+
+        The miss path of :meth:`diagnose`, also taken by the serving
+        layer's workers with the key their request computed at submit:
+        it neither probes nor digests.  The run counts as a cache miss.
+        """
         report = self._run_tool(log, trace_id, observers)
-        if key is not None:
-            with self._cache_lock:
-                self.cache_misses += 1
-                # Never cache a degraded report: the degradation came from
-                # transient weather (faults, outages), not from the trace
-                # content the key is addressed by — a later clean run of
-                # the same digest must not be served a degraded answer.
-                if not report.degraded:
-                    self._cache.setdefault(key, report)
-            # Same rule for the persistent store (put() enforces it too);
-            # the atomic write happens outside the cache lock.
-            if self.store is not None and not report.degraded:
-                self.store.put(key, report)
+        if not self._cache_enabled:
+            return report
+        with self._cache_lock:
+            self.cache_misses += 1
+            # Never cache a degraded report: the degradation came from
+            # transient weather (faults, outages), not from the trace
+            # content the key is addressed by — a later clean run of the
+            # same digest must not be served a degraded answer.
+            if not report.degraded:
+                self._cache.setdefault(key, report)
+        # Same rule for the persistent store (put() enforces it too); the
+        # atomic write happens outside the cache lock.
+        if self.store is not None and not report.degraded:
+            self.store.put(key, report)
         return report
 
     def _run_tool(

@@ -9,9 +9,11 @@ which is why mid-trace truncation makes plain models miss MPI-IO facts.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.darshan.log import MODULE_ORDER, DarshanLog
 
-__all__ = ["render_darshan_text"]
+__all__ = ["iter_darshan_text", "render_darshan_text"]
 
 _MODULE_TITLES = {
     "POSIX": "POSIX module data",
@@ -19,6 +21,57 @@ _MODULE_TITLES = {
     "STDIO": "STDIO module data",
     "LUSTRE": "LUSTRE module data",
 }
+
+_RULE = "# " + "*" * 55 + "\n"
+_COLUMNS = (
+    "#<module>\t<rank>\t<record id>\t<counter>\t<value>"
+    "\t<file name>\t<mount pt>\t<fs type>\n"
+)
+
+
+def iter_darshan_text(log: DarshanLog, include_dxt: bool = False) -> Iterator[str]:
+    """The parser text of ``log`` as a stream of chunks, one per record.
+
+    The chunks concatenate to :func:`render_darshan_text`, so a consumer
+    that only folds the text (the content digest) never holds all of it.
+    """
+    h = log.header
+    mounts = "".join(f"# mount entry:\t{mount}\t{fs_type}\n" for mount, fs_type in h.mounts)
+    yield (
+        f"# darshan log version: {h.log_version}\n"
+        "# compression method: ZLIB\n"
+        f"# exe: {h.exe}\n"
+        f"# uid: {h.uid}\n"
+        f"# jobid: {h.jobid}\n"
+        f"# start_time: {h.start_time}\n"
+        f"# start_time_asci: {h.start_time_ascii}\n"
+        f"# end_time: {h.end_time}\n"
+        f"# nprocs: {h.nprocs}\n"
+        f"# run time: {h.run_time:.4f}\n"
+        "\n"
+        "# mounted file systems (mount point and fs type)\n"
+        "# -------------------------------------------------------\n"
+        f"{mounts}\n"
+    )
+    for module in MODULE_ORDER:
+        records = log.records_for(module)
+        if not records:
+            continue
+        title = _MODULE_TITLES.get(module, module + " module data")
+        yield f"{_RULE}# {title}\n{_RULE}\n{_COLUMNS}"
+        for rec in records:
+            head = f"{module}\t{rec.rank}\t{rec.record_id}\t"
+            tail = f"\t{rec.path}\t{rec.mount_point}\t{rec.fs_type}\n"
+            yield "".join(
+                [f"{head}{name}\t{value}{tail}" for name, value in rec.counters.items()]
+                + [f"{head}{name}\t{value:.6f}{tail}" for name, value in rec.fcounters.items()]
+            )
+        yield "\n"
+    if include_dxt and log.dxt_segments:
+        from repro.darshan.dxt import render_dxt_text
+
+        lines = render_dxt_text(log.dxt_segments).splitlines()
+        yield "".join(f"{line}\n" for line in lines) + "\n"
 
 
 def render_darshan_text(log: DarshanLog, include_dxt: bool = False) -> str:
@@ -31,53 +84,4 @@ def render_darshan_text(log: DarshanLog, include_dxt: bool = False) -> str:
     default matches real deployments (and the paper's plain-LLM inputs):
     counter text only, DXT dropped.
     """
-    h = log.header
-    lines: list[str] = []
-    lines.append(f"# darshan log version: {h.log_version}")
-    lines.append("# compression method: ZLIB")
-    lines.append(f"# exe: {h.exe}")
-    lines.append(f"# uid: {h.uid}")
-    lines.append(f"# jobid: {h.jobid}")
-    lines.append(f"# start_time: {h.start_time}")
-    lines.append(f"# start_time_asci: {h.start_time_ascii}")
-    lines.append(f"# end_time: {h.end_time}")
-    lines.append(f"# nprocs: {h.nprocs}")
-    lines.append(f"# run time: {h.run_time:.4f}")
-    lines.append("")
-    lines.append("# mounted file systems (mount point and fs type)")
-    lines.append("# -------------------------------------------------------")
-    for mount, fs_type in h.mounts:
-        lines.append(f"# mount entry:\t{mount}\t{fs_type}")
-    lines.append("")
-
-    for module in MODULE_ORDER:
-        records = log.records_for(module)
-        if not records:
-            continue
-        lines.append("# " + "*" * 55)
-        lines.append(f"# {_MODULE_TITLES.get(module, module + ' module data')}")
-        lines.append("# " + "*" * 55)
-        lines.append("")
-        lines.append(
-            "#<module>\t<rank>\t<record id>\t<counter>\t<value>"
-            "\t<file name>\t<mount pt>\t<fs type>"
-        )
-        for rec in records:
-            rid = rec.record_id
-            for name, value in rec.counters.items():
-                lines.append(
-                    f"{module}\t{rec.rank}\t{rid}\t{name}\t{value}"
-                    f"\t{rec.path}\t{rec.mount_point}\t{rec.fs_type}"
-                )
-            for name, value in rec.fcounters.items():
-                lines.append(
-                    f"{module}\t{rec.rank}\t{rid}\t{name}\t{value:.6f}"
-                    f"\t{rec.path}\t{rec.mount_point}\t{rec.fs_type}"
-                )
-        lines.append("")
-    if include_dxt and log.dxt_segments:
-        from repro.darshan.dxt import render_dxt_text
-
-        lines.extend(render_dxt_text(log.dxt_segments).splitlines())
-        lines.append("")
-    return "\n".join(lines) + "\n"
+    return "".join(iter_darshan_text(log, include_dxt))

@@ -257,14 +257,15 @@ class DiagnosisServer:
         Resolution order: memory cache / persistent store (immediate),
         in-flight coalescing (free), queue admission (backpressure:
         :class:`QueueFullError` when ``queue_depth`` requests are already
-        pending).
+        pending).  The content key is computed here, once; the probe, the
+        coalescing table and the worker's store write all use it.
         """
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server is closed")
         key = self.service.cache_key(log)
 
-        cached = self.service.lookup(log, trace_id=trace_id)
+        cached = self.service.lookup(key, trace_id=trace_id)
         if cached is not None:
             entry = _Entry(key, log)
             entry.resolve(cached, None)
@@ -325,8 +326,8 @@ class DiagnosisServer:
             report: DiagnosisReport | None = None
             error: BaseException | None = None
             try:
-                report = self.service.diagnose(
-                    entry.log, trace_id=entry.key[0][:12], observers=(observer,)
+                report = self.service.execute(
+                    entry.key, entry.log, trace_id=entry.key[0][:12], observers=(observer,)
                 )
             except BaseException as exc:  # noqa: BLE001 - delivered to every waiter
                 error = exc

@@ -9,9 +9,10 @@ with zero LLM calls.
 
 Contracts:
 
-* **atomic writes** — each entry is written to a temporary sibling and
-  ``os.replace``-d into place, so a concurrent reader (another worker,
-  another process) sees either the whole record or nothing;
+* **atomic writes** — each writer writes the entry to a temporary
+  sibling of its own and ``os.replace``-s it into place, so a concurrent
+  reader (another worker, another process) sees either the whole record
+  or nothing, and concurrent writers of one key never collide;
 * **degraded reports are never persisted** — degradation is transient
   weather (faults, outages), not trace content; persisting one would
   serve a degraded answer to every later clean request for that digest.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from repro.core.report import DiagnosisReport
@@ -114,12 +116,16 @@ class ResultStore:
             "report": report_to_dict(report),
         }
         path = self.path_for(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
+        # A temp file of this writer's own: two writers of one key (threads
+        # of one process included) must not rename each other's file away.
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f"{path.stem}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         return path
 
     def __len__(self) -> int:

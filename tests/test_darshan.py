@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.service import trace_digest
 from repro.darshan.counters import (
     MODULE_COUNTERS,
     SIZE_BIN_EDGES,
@@ -13,19 +16,21 @@ from repro.darshan.counters import (
     size_bin_index,
     size_counters,
 )
+from repro.darshan.dxt import dxt_digest
 from repro.darshan.instrument import DarshanInstrument
-from repro.darshan.log import MODULE_ORDER
+from repro.darshan.log import MODULE_ORDER, DarshanLog, JobHeader
 from repro.darshan.parser import (
     DarshanParseError,
     parse_darshan_text,
     parse_darshan_text_with_report,
 )
 from repro.darshan.records import DarshanRecord, record_id_for
-from repro.darshan.writer import render_darshan_text
+from repro.darshan.writer import iter_darshan_text, render_darshan_text
 from repro.sim.filesystem import LustreFileSystem
 from repro.sim.ops import API, IOOp, OpKind
 from repro.sim.runtime import IORuntime, JobSpec
 from repro.util.units import MiB
+from repro.workloads.scenarios import build_scenario, get_scenario
 
 
 class TestCounters:
@@ -220,6 +225,71 @@ class TestTextRoundTrip:
         text = render_darshan_text(sb01_trace.log)
         noisy = text.replace("\n\n", "\n# stray comment\n\n", 1)
         assert parse_darshan_text(noisy).header.exe == sb01_trace.log.header.exe
+
+
+def _whole_text_digest(log) -> str:
+    """The digest as defined before streaming: sha256 of the whole text + DXT."""
+    digest = hashlib.sha256(render_darshan_text(log).encode("utf-8"))
+    if log.dxt_segments:
+        digest.update(dxt_digest(log.dxt_segments).encode("ascii"))
+    return digest.hexdigest()
+
+
+def _hand_built_log() -> DarshanLog:
+    """Non-ASCII path, float counters, MPIIO without records, no mounts."""
+    header = JobHeader(
+        exe="/opt/app/naïve", uid=7, jobid=42, nprocs=2,
+        start_time=1_700_000_000, end_time=1_700_000_010, run_time=10.0,
+    )
+    records = [
+        DarshanRecord(
+            "POSIX", "/scratch/données/ファイル.dat", rank=0,
+            counters={"POSIX_WRITES": 3, "POSIX_BYTES_WRITTEN": 12_288},
+            fcounters={"POSIX_F_WRITE_TIME": 0.1234567, "POSIX_F_META_TIME": 2.5e-7},
+            mount_point="/scratch", fs_type="lustre",
+        ),
+        DarshanRecord(
+            "STDIO", "/home/ü/log.txt", rank=-1,
+            counters={"STDIO_WRITES": 1}, fcounters={"STDIO_F_WRITE_TIME": 1e-3},
+        ),
+    ]
+    return DarshanLog(header=header, records=records)
+
+
+class TestStreamedDigest:
+    """trace_digest hashes the text chunk by chunk; the bytes must not move."""
+
+    # sha256 of render_darshan_text(sb01-small-writes at seed 0), taken
+    # from the whole-text renderer the chunked one replaced.
+    SB01_TEXT_SHA256 = "ca2d0642f78de171aac47926400a08e9c686336b0f3582e334ce4b8781749887"
+
+    def test_sb01_rendering_is_pinned(self, sb01_trace):
+        text = render_darshan_text(sb01_trace.log)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.SB01_TEXT_SHA256
+
+    def test_counter_only_scenario(self, sb01_trace):
+        log = parse_darshan_text(render_darshan_text(sb01_trace.log))
+        assert log.dxt_segments is None
+        assert trace_digest(log) == _whole_text_digest(log)
+
+    def test_dxt_scenario(self):
+        log = build_scenario(get_scenario("path14-lock-convoy"), seed=0).log
+        assert log.dxt_segments
+        assert trace_digest(log) == _whole_text_digest(log)
+
+    def test_hand_built_log(self):
+        log = _hand_built_log()
+        text = render_darshan_text(log)
+        assert "# mount entry" not in text and "MPI-IO module data" not in text
+        assert "0.123457\t/scratch/données/ファイル.dat" in text
+        assert trace_digest(log) == _whole_text_digest(log)
+
+    def test_chunks_are_records(self, sb01_trace):
+        chunks = list(iter_darshan_text(sb01_trace.log))
+        assert "".join(chunks) == render_darshan_text(sb01_trace.log)
+        # header + per module (section header, its records, blank line)
+        modules = sb01_trace.log.modules()
+        assert len(chunks) == 1 + 2 * len(modules) + len(sb01_trace.log.records)
 
 
 class TestDamagedText:

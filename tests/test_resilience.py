@@ -247,7 +247,7 @@ class TestDegradation:
             tool=IOAgent(IOAgentConfig(use_dxt=False)), config=full
         )
         full_service = DiagnosisService(tool=IOAgent(full), config=full)
-        assert ablated_service._cache_key(sb01_trace.log) != full_service._cache_key(
+        assert ablated_service.cache_key(sb01_trace.log) != full_service.cache_key(
             sb01_trace.log
         )
 

@@ -11,9 +11,11 @@ plus the unified registry-lookup error surface and the reconciled
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,36 @@ class TestResultStore:
     def test_report_dict_round_trip_preserves_degraded(self):
         report = self._report(degraded=("merge", "temporal"))
         assert report_from_dict(report_to_dict(report)).degraded == ("merge", "temporal")
+
+    def test_same_key_writers_in_one_process_do_not_collide(self, tmp_path):
+        # Identical traces in one diagnose_batch write one key from
+        # several threads of one process at once.
+        store = ResultStore(tmp_path)
+        report = self._report()
+        n_threads, puts = max(8, 2 * (os.cpu_count() or 1)), 50
+        errors: list[Exception] = []
+
+        def writer() -> None:
+            for _ in range(puts):
+                try:
+                    store.put(self.KEY, report)
+                except Exception as exc:  # noqa: BLE001 - collected, asserted below
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert report_to_dict(store.get(self.KEY)) == report_to_dict(report)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [store_filename(self.KEY)]
 
 
 # -- service + store integration -----------------------------------------
@@ -419,6 +451,68 @@ class TestDiagnosisServer:
         server.close()
         assert server.counters.store_writes == 1
         assert len(ResultStore(tmp_path)) == 1
+
+
+class _KeyCountingService(DiagnosisService):
+    """Counts trace digests: every cache_key call renders and hashes the log."""
+
+    def __init__(self, store=None) -> None:
+        super().__init__(config=IOAgentConfig(seed=0, max_workers=1), store=store)
+        self.keys: list[tuple[str, str, str]] = []
+
+    def cache_key(self, log):
+        key = super().cache_key(log)
+        self.keys.append(key)
+        return key
+
+
+def _submit_and_wait(service, log, n=1):
+    server = DiagnosisServer(service, autostart=False)
+    handles = [server.submit(log, trace_id=f"r{i}") for i in range(n)]
+    server.start()
+    for handle in handles:
+        handle.result(timeout=120)
+    server.close()
+    return server, handles
+
+
+class TestOneContentKeyPerRequest:
+    """Each request digests its trace once, from submit to the store write."""
+
+    def test_cold_submit_runs_and_writes_the_store(self, tmp_path, sb01_trace):
+        service = _KeyCountingService(store=str(tmp_path))
+        server, _ = _submit_and_wait(service, sb01_trace.log)
+        assert server.counters.executed == 1 and server.counters.store_writes == 1
+        assert len(service.keys) == 1
+        # The worker wrote the store under the key computed at submit.
+        assert service.store.get(service.keys[0]) is not None
+
+    def test_store_hit_submit(self, tmp_path, sb01_trace):
+        _KeyCountingService(store=str(tmp_path)).diagnose(sb01_trace.log)
+        service = _KeyCountingService(store=str(tmp_path))
+        _, (handle,) = _submit_and_wait(service, sb01_trace.log)
+        assert handle.served_from_cache and service.stats().store_hits == 1
+        assert len(service.keys) == 1
+
+    def test_memory_hit_submit(self, sb01_trace):
+        service = _KeyCountingService()
+        service.diagnose(sb01_trace.log)
+        service.keys.clear()
+        _, (handle,) = _submit_and_wait(service, sb01_trace.log)
+        assert handle.served_from_cache and service.stats().cache_hits == 1
+        assert len(service.keys) == 1
+
+    def test_coalesced_duplicate(self, sb01_trace):
+        service = _KeyCountingService()
+        server, (_, duplicate) = _submit_and_wait(service, sb01_trace.log, n=2)
+        assert duplicate.coalesced and server.counters.executed == 1
+        assert len(service.keys) == 2  # one per request, none in the worker
+
+    def test_direct_diagnose(self, tmp_path, sb01_trace):
+        service = _KeyCountingService(store=str(tmp_path))
+        service.diagnose(sb01_trace.log)
+        assert service.stats().cache_misses == 1 and len(service.store) == 1
+        assert len(service.keys) == 1
 
 
 # -- unified registry lookup errors --------------------------------------
