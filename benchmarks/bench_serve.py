@@ -1,6 +1,6 @@
-"""Serving-layer gate: coalescing, sustained throughput, snapshot identity.
+"""Serving-layer gate: coalescing, throughput, batch parity, snapshot identity.
 
-Three claims the :mod:`repro.serve` layer makes, each checked here:
+Four claims the :mod:`repro.serve` layer makes, each checked here:
 
 1. **coalescing** — a thundering herd of N concurrent requests for the
    same trace digest costs exactly ONE pipeline run (and one LLM bill);
@@ -10,7 +10,12 @@ Three claims the :mod:`repro.serve` layer makes, each checked here:
 2. **sustained throughput** — a mixed workload (distinct scenarios x
    repeats) drains through the bounded queue and worker pool with every
    request answered and every duplicate free;
-3. **deterministic telemetry** — two fresh servers driven through the
+3. **batch parity** — the same mixed workload run as one
+   :func:`~repro.core.batch.diagnose_batch` executes once per distinct
+   trace, and every batch report's text is the one ``serve_all`` returned
+   for that request id (batches are a client of the server, not a second
+   execution path);
+4. **deterministic telemetry** — two fresh servers driven through the
    identical workload produce byte-identical metrics snapshots (modeled
    latency over seeded SimLLM usage; no wall-clock in the artifact).
 
@@ -23,10 +28,12 @@ Run the CI tier and write the snapshot artifact::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
 from repro.core.agent import IOAgentConfig
+from repro.core.batch import diagnose_batch
 from repro.core.service import DiagnosisService
 from repro.serve import DiagnosisServer
 from repro.workloads.scenarios import build_scenario, select_scenarios
@@ -43,6 +50,15 @@ def _build_traces(selectors, seed):
     for scenario in select_scenarios(list(selectors)):
         traces.append(build_scenario(scenario, seed=seed))
     return traces
+
+
+def _mixed_workload(traces, repeats: int) -> list:
+    """Each trace ``repeats`` times, relabeled ``<trace_id>#<i>``."""
+    return [
+        dataclasses.replace(trace, trace_id=f"{trace.trace_id}#{i}")
+        for trace in traces
+        for i in range(repeats)
+    ]
 
 
 def run_coalescing(trace, herd: int, seed: int) -> dict:
@@ -69,9 +85,7 @@ def run_coalescing(trace, herd: int, seed: int) -> dict:
 
 def run_throughput(traces, repeats: int, seed: int) -> dict:
     """Mixed workload through the deterministic driver; all answered."""
-    requests = [
-        (trace.log, f"{trace.trace_id}#{i}") for trace in traces for i in range(repeats)
-    ]
+    requests = [(trace.log, trace.trace_id) for trace in _mixed_workload(traces, repeats)]
     server = DiagnosisServer(
         service=DiagnosisService(config=IOAgentConfig(seed=seed)),
         workers=4,
@@ -90,14 +104,28 @@ def run_throughput(traces, repeats: int, seed: int) -> dict:
         "executed": server.counters.executed,
         "seconds": round(elapsed, 4),
         "requests_per_s": round(len(requests) / elapsed, 1),
+        "texts": {trace_id: report.text for (_, trace_id), report in zip(requests, reports)},
+    }
+
+
+def run_batch_parity(traces, repeats: int, seed: int, served: dict[str, str]) -> dict:
+    """The mixed workload as one batch: runs once per distinct trace, serve's texts."""
+    service = DiagnosisService(config=IOAgentConfig(seed=seed))
+    result = diagnose_batch(service, _mixed_workload(traces, repeats), workers=4)
+    return {
+        "requests": len(result.reports),
+        "executed": service.stats().cache_misses,
+        "mismatched": sorted(
+            trace_id
+            for trace_id, report in result.reports.items()
+            if report.text != served[trace_id]
+        ),
     }
 
 
 def snapshot_bytes(traces, repeats: int, seed: int) -> bytes:
     """One fresh server's canonical snapshot over the fixed workload."""
-    requests = [
-        (trace.log, f"{trace.trace_id}#{i}") for trace in traces for i in range(repeats)
-    ]
+    requests = [(trace.log, trace.trace_id) for trace in _mixed_workload(traces, repeats)]
     server = DiagnosisServer(
         service=DiagnosisService(config=IOAgentConfig(seed=seed)),
         workers=4,
@@ -155,6 +183,25 @@ def main(argv=None) -> int:
         print(
             f"FAIL: {tput['distinct']} distinct traces needed {tput['executed']} "
             f"pipeline runs (duplicates were re-executed)",
+            file=sys.stderr,
+        )
+        status = 1
+
+    batch = run_batch_parity(traces, repeats, args.seed, tput["texts"])
+    print(
+        f"batch: {batch['requests']} traces through diagnose_batch, "
+        f"executed={batch['executed']}, {len(batch['mismatched'])} texts differ from serve_all"
+    )
+    if batch["executed"] != tput["distinct"]:
+        print(
+            f"FAIL: the batch ran {batch['executed']} times for {tput['distinct']} "
+            f"distinct traces (batch duplicates were re-executed)",
+            file=sys.stderr,
+        )
+        status = 1
+    if batch["mismatched"]:
+        print(
+            f"FAIL: batch reports differ from serve_all's for {batch['mismatched']}",
             file=sys.stderr,
         )
         status = 1

@@ -46,11 +46,11 @@ def test_trace_cache_speedup(benchmark, bench_suite):
         t0 = time.perf_counter()
         service.diagnose(trace.log, trace_id=trace.trace_id)
         miss = time.perf_counter() - t0
-        calls_after_miss = service.usage().calls
+        calls_after_miss = service.stats().usage.calls
         t0 = time.perf_counter()
         service.diagnose(trace.log, trace_id=trace.trace_id)
         hit = time.perf_counter() - t0
-        return miss, hit, service.usage().calls - calls_after_miss, service.cache_hits
+        return miss, hit, service.stats().usage.calls - calls_after_miss, service.cache_hits
 
     miss, hit, extra_calls, hits = benchmark.pedantic(run, rounds=1, iterations=1)
     print()

@@ -4,8 +4,10 @@
 Shows the three API layers this repo exposes:
 
 1. the tool registry — discover and build any diagnosis tool by name;
-2. DiagnosisService — concurrent batch diagnosis with per-trace caching;
-3. pipeline telemetry — per-stage latency and LLM spend on BatchResult.
+2. DiagnosisService — per-trace caching, served in batches through a
+   DiagnosisServer by ``diagnose_batch``;
+3. pipeline telemetry — the server's per-stage latency and LLM spend on
+   BatchResult.
 
 Usage:  python examples/diagnosis_service.py
 """
@@ -13,6 +15,7 @@ Usage:  python examples/diagnosis_service.py
 from __future__ import annotations
 
 from repro import DiagnosisService, IOAgentConfig, available_tools
+from repro.core.batch import diagnose_batch
 from repro.tracebench import build_tracebench
 
 
@@ -26,7 +29,7 @@ def main() -> None:
     ]
 
     service = DiagnosisService(tool="ioagent", config=IOAgentConfig(model="gpt-4o", seed=0))
-    result = service.diagnose_batch(traces, max_workers=3)
+    result = diagnose_batch(service, traces, workers=3)
 
     print(f"\ndiagnosed {len(result.reports)} traces with {result.tool}: "
           f"mean F1 {result.mean_f1:.3f}, {result.llm_calls} LLM calls, "
@@ -36,13 +39,13 @@ def main() -> None:
         print(f"{stage:>12s} {m.seconds:>9.3f} {m.calls:>7d} {m.prompt_tokens:>11d} {m.cost_usd:>9.4f}")
 
     # Resubmitting the same traces: served from the content-addressed cache.
-    rerun = service.diagnose_batch(traces, max_workers=3)
+    rerun = diagnose_batch(service, traces, workers=3)
     print(f"\nrerun: {rerun.cache_hits}/{len(traces)} cache hits, "
           f"{rerun.llm_calls} new LLM calls, ${rerun.cost_usd:.4f} marginal cost")
 
     # The same service API drives any registered tool, e.g. the heuristic
     # baseline (zero LLM spend, no stage telemetry).
-    drishti = DiagnosisService(tool="drishti").diagnose_batch(traces)
+    drishti = diagnose_batch(DiagnosisService(tool="drishti"), traces)
     print(f"\ndrishti over the same traces: mean F1 {drishti.mean_f1:.3f}, "
           f"{drishti.llm_calls} LLM calls")
 

@@ -32,8 +32,8 @@ between minor versions.  Four layers:
 
 **Service** (:mod:`repro.core.service`):
 
-* :class:`DiagnosisService` — production-style facade: concurrent
-  multi-trace execution, content-addressed result caching keyed by
+* :class:`DiagnosisService` — production-style facade:
+  content-addressed result caching keyed by
   ``(trace digest, tool, config)``, optional persistent
   :class:`~repro.serve.store.ResultStore` backing, shared memoized RAG
   index, and one coherent :class:`~repro.core.service.ServiceStats`
@@ -41,8 +41,9 @@ between minor versions.  Four layers:
 
 **Serving** (:mod:`repro.serve`):
 
-* :class:`~repro.serve.server.DiagnosisServer` — the always-on request
-  path: bounded work queue with typed backpressure
+* :class:`~repro.serve.server.DiagnosisServer` — the one request path
+  (batches are served through it too): bounded work queue with typed
+  backpressure
   (:class:`~repro.serve.server.QueueFullError`), in-flight coalescing of
   identical requests, persistent content-addressed results, and
   deterministic fixed-bucket latency/queue-depth histograms
@@ -60,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "2.3.0"  # minor: serving layer (queue, coalescing, store) + stable API
+__version__ = "3.0.0"  # major: DiagnosisService loses diagnose_batch + deprecated wrappers
 
 __all__ = [
     # tools

@@ -18,8 +18,8 @@ layer:
    subsystem that wires 1-6 together with observer hooks;
 8. :mod:`repro.core.registry` — the `DiagnosticTool` protocol + registry;
 9. :mod:`repro.core.agent` — IOAgent, a facade over the default pipeline;
-10. :mod:`repro.core.service` — DiagnosisService: concurrency, caching,
-    per-stage metrics;
+10. :mod:`repro.core.service` — DiagnosisService: caching, the shared
+    tool instance, pipeline observers;
 11. :mod:`repro.core.session` — post-diagnosis interactive Q&A (Fig. 5).
 """
 

@@ -14,7 +14,9 @@ Pipeline per trace (each step a :class:`repro.core.pipeline.Stage`):
 :class:`~repro.core.pipeline.DiagnosisPipeline` from its config and
 implements the :class:`~repro.core.registry.DiagnosticTool` protocol, so
 the CLI, the batch runner, and the Table IV harness all drive it the same
-way they drive the baselines.  Every LLM interaction goes through
+way they drive the baselines.  Its ``run`` satisfies
+:class:`~repro.core.pipeline.PipelineTool`, so the service and server
+observe its stages.  Every LLM interaction goes through
 :class:`repro.llm.client.LLMClient`, so the agent is model-agnostic — the
 paper's headline claim — and ablations swap pipeline stages instead of
 threading booleans through one long method.

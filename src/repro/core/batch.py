@@ -3,26 +3,29 @@
 The paper motivates IOAgent partly by cost: o1-preview is "largely
 impractical for our large-scale use", and the design must make *open*
 models viable.  This module runs any registered
-:class:`~repro.core.registry.DiagnosticTool` over many traces — via
-:class:`~repro.core.service.DiagnosisService`, so batches get concurrency,
-per-trace caching, and per-stage telemetry for free — and reports
+:class:`~repro.core.registry.DiagnosticTool` over many traces and reports
 per-backbone token/cost totals, so the "democratization" trade-off —
 open-weights quality at zero marginal API cost vs. frontier quality at
 list price — is measurable.
+
+A batch is a scoring client of the serving layer: :func:`diagnose_batch`
+serves the traces through a fresh
+:class:`~repro.serve.server.DiagnosisServer`, so a trace gets the same
+report as from ``serve`` and identical content in one batch runs once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.report import DiagnosisReport
 from repro.tracebench.dataset import LabeledTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.service import StageMetrics
+    from repro.core.service import DiagnosisService, StageMetrics
 
-__all__ = ["BatchResult", "run_batch", "run_scenario_batch", "cost_comparison"]
+__all__ = ["BatchResult", "diagnose_batch", "run_batch", "run_scenario_batch", "cost_comparison"]
 
 
 @dataclass
@@ -39,9 +42,10 @@ class BatchResult:
     prompt_tokens: int = 0
     completion_tokens: int = 0
     cost_usd: float = 0.0
+    # requests answered from the service's cache or store at submit time.
     cache_hits: int = 0
-    # stage name -> aggregate latency/usage across the batch (pipeline
-    # tools only; empty for heuristic/plain-prompt tools).
+    # stage name -> aggregate latency/usage over the batch's executed runs
+    # (pipeline tools only; empty for heuristic/plain-prompt tools).
     stage_metrics: "dict[str, StageMetrics]" = field(default_factory=dict)
 
     @property
@@ -63,6 +67,42 @@ class BatchResult:
         return sum(m.seconds for m in self.stage_metrics.values())
 
 
+def diagnose_batch(
+    service: "DiagnosisService",
+    traces: Sequence[LabeledTrace],
+    workers: int | None = None,
+) -> BatchResult:
+    """Serve every trace through a fresh server; returns scored, metered results.
+
+    ``workers`` sizes the server's pool (default 4).  LLM totals are the
+    change in ``service.stats().usage``, which also covers tools that are
+    not pipeline-backed.
+    """
+    from repro.evaluation.accuracy import f1_by_difficulty, match_stats
+    from repro.serve.server import DiagnosisServer
+
+    before = service.stats().usage
+    with DiagnosisServer(
+        service, workers=workers or 4, queue_depth=max(1, len(traces)), autostart=False
+    ) as server:
+        reports = server.serve_all([(trace.log, trace.trace_id) for trace in traces])
+    usage = service.stats().usage
+    scored = [(t.difficulty, match_stats(r.text, t.labels)) for t, r in zip(traces, reports)]
+    return BatchResult(
+        model=service.config.model,
+        tool=service.tool.name,
+        reports={trace.trace_id: report for trace, report in zip(traces, reports)},
+        mean_f1=sum(stats.f1 for _, stats in scored) / max(1, len(scored)),
+        f1_by_difficulty=f1_by_difficulty(scored),
+        llm_calls=usage.calls - before.calls,
+        prompt_tokens=usage.prompt_tokens - before.prompt_tokens,
+        completion_tokens=usage.completion_tokens - before.completion_tokens,
+        cost_usd=usage.cost_usd - before.cost_usd,
+        cache_hits=server.counters.cache_served,
+        stage_metrics=server.stage_metrics(),
+    )
+
+
 def run_batch(
     traces: list[LabeledTrace],
     model: str = "gpt-4o",
@@ -72,7 +112,10 @@ def run_batch(
     max_workers: int | None = None,
     **config_kwargs,
 ) -> BatchResult:
-    """Diagnose every trace with one registered tool on one backbone."""
+    """Diagnose every trace with one registered tool on one backbone.
+
+    ``max_workers`` is :func:`diagnose_batch`'s ``workers``.
+    """
     from repro.core.agent import IOAgentConfig
     from repro.core.service import DiagnosisService
 
@@ -80,7 +123,7 @@ def run_batch(
         model=model, reflection_model=reflection_model, seed=seed, **config_kwargs
     )
     service = DiagnosisService(tool=tool, config=config)
-    return service.diagnose_batch(traces, max_workers=max_workers)
+    return diagnose_batch(service, traces, workers=max_workers)
 
 
 def run_scenario_batch(

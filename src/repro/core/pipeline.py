@@ -16,6 +16,8 @@ Key pieces:
   ``run(ctx)``); the six default stages live here too;
 * :class:`PipelineObserver` — event hooks (``on_stage_start``,
   ``on_stage_end``, ``on_llm_call``) for telemetry and progress UIs;
+* :class:`PipelineTool` — the contract of a tool whose diagnosis is one
+  observable pipeline run (``run(log, trace_id, observers)``);
 * :class:`DiagnosisPipeline` — runs stages in order, times them, and
   attributes every LLM call made during a stage to that stage;
 * :func:`build_default_pipeline` — the paper-default stage list derived
@@ -72,6 +74,7 @@ __all__ = [
     "StageFailure",
     "Stage",
     "PipelineObserver",
+    "PipelineTool",
     "DiagnosisPipeline",
     "PreprocessStage",
     "SummarizeStage",
@@ -232,6 +235,23 @@ class PipelineObserver:
     def on_fault_event(
         self, stage: str, ctx: PipelineContext, event: FaultEvent
     ) -> None: ...
+
+
+@runtime_checkable
+class PipelineTool(Protocol):
+    """A tool whose diagnosis is one observable pipeline run (``IOAgent``).
+
+    The service runs every tool that has a ``run`` method as
+    ``run(...).build_report()``, so observers see each stage, and any
+    other tool through ``diagnose``.
+    """
+
+    def run(
+        self,
+        log: DarshanLog,
+        trace_id: str = "trace",
+        observers: Sequence[PipelineObserver] = (),
+    ) -> PipelineContext: ...
 
 
 # -- the six default stages ----------------------------------------------

@@ -1,21 +1,22 @@
-"""Production-style facade: concurrent, cached, metered diagnosis.
+"""Production-style facade: cached, metered diagnosis of one trace.
 
 :class:`DiagnosisService` is the entry point a deployment would sit
 behind.  On top of any registered :class:`~repro.core.registry.DiagnosticTool`
 it adds the concerns the paper's production story needs but that don't
 belong inside a tool:
 
-* **concurrency** — traces fan out across a thread pool
-  (:func:`repro.util.parallel.parallel_map`), on top of each tool's own
-  per-fragment parallelism;
 * **caching** — per-trace results memoized by ``(trace digest, tool,
-  config)``, so re-diagnosing an unchanged log is free (``cache_hits`` is
-  reported on every batch);
+  config)``, so re-diagnosing an unchanged log is free;
 * **shared resources** — one tool instance (and therefore one memoized
   RAG index) serves the whole service lifetime instead of being rebuilt
   per call;
-* **telemetry** — per-stage wall-clock and LLM spend, collected through
-  the pipeline observer hooks and exposed as ``BatchResult.stage_metrics``.
+* **observability** — the observers given at construction or per call
+  see every stage of a :class:`~repro.core.pipeline.PipelineTool` run.
+
+Concurrency lives one layer up: :class:`~repro.serve.server.DiagnosisServer`
+queues, coalesces and runs requests on its worker pool and collects the
+per-stage telemetry (:class:`StageMetrics`).  Batches
+(:func:`repro.core.batch.diagnose_batch`) are one of its clients.
 """
 
 from __future__ import annotations
@@ -23,21 +24,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from threading import Lock
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.pipeline import PipelineContext, PipelineObserver
+from repro.core.pipeline import PipelineObserver, PipelineTool
 from repro.core.registry import DiagnosticTool, get_tool
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
 from repro.darshan.writer import iter_darshan_text
-from repro.llm.client import FaultEvent, Usage
-from repro.util.parallel import parallel_map
+from repro.llm.client import Usage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import IOAgentConfig
-    from repro.core.batch import BatchResult
     from repro.serve.store import ResultStore
-    from repro.tracebench.dataset import LabeledTrace
 
 __all__ = ["StageMetrics", "ServiceStats", "DiagnosisService", "trace_digest"]
 
@@ -65,7 +63,7 @@ def trace_digest(log: DarshanLog) -> str:
 
 @dataclass
 class StageMetrics:
-    """Aggregate latency/cost/fault telemetry for one stage across a batch."""
+    """Aggregate latency/cost/fault telemetry for one stage across runs."""
 
     seconds: float = 0.0
     calls: int = 0
@@ -94,60 +92,26 @@ class StageMetrics:
             self.circuit_trips += 1
         self.faults[kind] = self.faults.get(kind, 0) + 1
 
-
-def _observable_runner(tool: DiagnosticTool) -> "Callable | None":
-    """The tool's observer-aware ``run`` method, or None.
-
-    ``run`` is not part of the DiagnosticTool protocol, so a tool may
-    define an unrelated method of that name; only treat it as the
-    pipeline entry point if its signature actually takes ``observers``.
-    """
-    import inspect
-
-    runner = getattr(tool, "run", None)
-    if not callable(runner):
-        return None
-    try:
-        params = inspect.signature(runner).parameters
-    except (TypeError, ValueError):
-        return None
-    return runner if "observers" in params else None
-
-
-class _MetricsCollector(PipelineObserver):
-    """Thread-safe accumulator of per-stage time + usage across traces."""
-
-    def __init__(self) -> None:
-        self.stages: dict[str, StageMetrics] = {}
-        self._lock = Lock()
-
-    def _metrics(self, stage: str) -> StageMetrics:
-        return self.stages.setdefault(stage, StageMetrics())
-
-    def on_stage_end(self, stage: str, ctx: PipelineContext, seconds: float) -> None:
-        with self._lock:
-            self._metrics(stage).add_time(seconds)
-
-    def on_llm_call(
-        self, stage: str, ctx: PipelineContext, model: str, usage: Usage, call_id: str
-    ) -> None:
-        with self._lock:
-            self._metrics(stage).add_usage(usage)
-
-    def on_fault_event(self, stage: str, ctx: PipelineContext, event: FaultEvent) -> None:
-        with self._lock:
-            self._metrics(stage).add_fault(event.kind)
+    def merge(self, other: "StageMetrics") -> None:
+        """Fold another run's totals for the same stage into this one."""
+        self.seconds += other.seconds
+        self.calls += other.calls
+        self.prompt_tokens += other.prompt_tokens
+        self.completion_tokens += other.completion_tokens
+        self.cost_usd += other.cost_usd
+        self.retries += other.retries
+        self.circuit_trips += other.circuit_trips
+        for kind, count in other.faults.items():
+            self.faults[kind] = self.faults.get(kind, 0) + count
 
 
 @dataclass(frozen=True)
 class ServiceStats:
     """One coherent snapshot of a service's caching + spend state.
 
-    The single accessor serve-mode and batch-mode metrics both read
-    through: ``stats()`` replaces the historical trio of
-    ``cached_reports()`` / ``usage()`` / ``cache_hits``-peeking (all kept
-    as thin wrappers).  ``usage`` is a point-in-time copy — mutating it
-    does not touch the tool's accounting.
+    The one accessor serve-mode and batch-mode metrics read through.
+    ``usage`` is a point-in-time copy — mutating it does not touch the
+    tool's accounting.
     """
 
     tool: str
@@ -184,8 +148,6 @@ class DiagnosisService:
         self,
         tool: str | DiagnosticTool = "ioagent",
         config: "IOAgentConfig | None" = None,
-        max_workers: int | None = None,
-        cache: bool = True,
         observers: Sequence[PipelineObserver] = (),
         store: "ResultStore | str | None" = None,
     ) -> None:
@@ -199,9 +161,7 @@ class DiagnosisService:
                 tool, config=config, model=config.model, seed=config.seed
             )
         self.tool: DiagnosticTool = tool
-        self.max_workers = max_workers if max_workers is not None else config.max_workers
         self.observers = tuple(observers)
-        self._cache_enabled = cache
         self._cache: dict[tuple[str, str, str], DiagnosisReport] = {}
         self._cache_lock = Lock()
         self.cache_hits = 0
@@ -240,8 +200,6 @@ class DiagnosisService:
         ``store_hits``; misses count nothing (only an actual run records
         a miss).
         """
-        if not self._cache_enabled:
-            return None
         with self._cache_lock:
             report = self._cache.get(key)
             if report is not None:
@@ -270,8 +228,6 @@ class DiagnosisService:
         hit; the cached report is relabeled with the requested
         ``trace_id``.
         """
-        if not self._cache_enabled:
-            return self._run_tool(log, trace_id, observers)
         key = self.cache_key(log)
         hit = self.lookup(key, trace_id)
         if hit is not None:
@@ -292,8 +248,6 @@ class DiagnosisService:
         it neither probes nor digests.  The run counts as a cache miss.
         """
         report = self._run_tool(log, trace_id, observers)
-        if not self._cache_enabled:
-            return report
         with self._cache_lock:
             self.cache_misses += 1
             # Never cache a degraded report: the degradation came from
@@ -311,11 +265,9 @@ class DiagnosisService:
     def _run_tool(
         self, log: DarshanLog, trace_id: str, observers: Sequence[PipelineObserver]
     ) -> DiagnosisReport:
-        all_observers = self.observers + tuple(observers)
-        if all_observers and _observable_runner(self.tool) is not None:
-            # Pipeline-backed tools expose an observer-aware `run`; the
-            # full context feeds the per-stage telemetry.
-            ctx = self.tool.run(log, trace_id, observers=all_observers)
+        if isinstance(self.tool, PipelineTool):
+            # The observers see every stage of a pipeline-backed run.
+            ctx = self.tool.run(log, trace_id, observers=self.observers + tuple(observers))
             return ctx.build_report()
         return self.tool.diagnose(log, trace_id=trace_id)
 
@@ -343,10 +295,6 @@ class DiagnosisService:
                 ),
             )
 
-    def cached_reports(self) -> tuple[DiagnosisReport, ...]:
-        """Deprecated: use ``stats().cached_reports`` (kept as a thin wrapper)."""
-        return self.stats().cached_reports
-
     def clear_cache(self) -> None:
         """Drop the in-memory cache and reset counters (the store persists)."""
         with self._cache_lock:
@@ -354,48 +302,3 @@ class DiagnosisService:
             self.cache_hits = 0
             self.cache_misses = 0
             self.store_hits = 0
-
-    def usage(self) -> Usage:
-        """Deprecated: use ``stats().usage`` (kept as a thin wrapper)."""
-        return self.tool.usage()
-
-    # -- batches -----------------------------------------------------------
-
-    def diagnose_batch(
-        self,
-        traces: "Sequence[LabeledTrace]",
-        max_workers: int | None = None,
-    ) -> "BatchResult":
-        """Diagnose every trace concurrently; returns scored, metered results."""
-        from repro.core.batch import BatchResult
-        from repro.evaluation.accuracy import f1_by_difficulty, match_stats
-
-        metrics = _MetricsCollector()
-        workers = max_workers if max_workers is not None else self.max_workers
-        usage_before = self.usage()
-        hits_before = self.cache_hits
-
-        def one(trace: "LabeledTrace") -> tuple:
-            report = self.diagnose(trace.log, trace_id=trace.trace_id, observers=(metrics,))
-            stats = match_stats(report.text, trace.labels)
-            return trace.trace_id, report, stats, getattr(trace, "difficulty", "medium")
-
-        rows = parallel_map(one, traces, max_workers=workers)
-
-        result = BatchResult(model=self.config.model, tool=self.tool.name)
-        f1_total = 0.0
-        for trace_id, report, stats, _difficulty in rows:
-            result.reports[trace_id] = report
-            f1_total += stats.f1
-        usage = self.usage()
-        result.mean_f1 = f1_total / max(1, len(rows))
-        result.f1_by_difficulty = f1_by_difficulty(
-            [(difficulty, stats) for _, _, stats, difficulty in rows]
-        )
-        result.llm_calls = usage.calls - usage_before.calls
-        result.prompt_tokens = usage.prompt_tokens - usage_before.prompt_tokens
-        result.completion_tokens = usage.completion_tokens - usage_before.completion_tokens
-        result.cost_usd = usage.cost_usd - usage_before.cost_usd
-        result.cache_hits = self.cache_hits - hits_before
-        result.stage_metrics = metrics.stages
-        return result

@@ -146,7 +146,7 @@ def _build_faulty_service(plan: FaultPlan, seed: int):
             [_CrashWrappedStage(stage, plan) for stage in pipeline.stages]
         )
     agent = IOAgent(config, client=client, pipeline=pipeline)
-    service = DiagnosisService(tool=agent, config=config, max_workers=1)
+    service = DiagnosisService(tool=agent, config=config)
     return service, client
 
 
@@ -212,7 +212,7 @@ def run_chaos_plan(
                 retries=metrics.retries,
                 circuit_trips=metrics.circuit_trips,
                 faults=tuple(sorted(fault_counts.items())),
-                cached_degraded=sum(1 for r in service.cached_reports() if r.degraded),
+                cached_degraded=sum(1 for r in service.stats().cached_reports if r.degraded),
             )
         )
     return tuple(runs)

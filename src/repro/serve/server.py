@@ -20,7 +20,10 @@ request path:
   the run's LLM usage by default, measured wall seconds with
   ``wall_clock=True``), a queue-depth histogram sampled at every enqueue,
   and the request-accounting counters, exported as one
-  :class:`~repro.serve.metrics.ServeSnapshot`.
+  :class:`~repro.serve.metrics.ServeSnapshot`;
+* **stage totals** — the same per-run collector feeds per-stage
+  :class:`~repro.core.service.StageMetrics` over the server's lifetime
+  (:meth:`DiagnosisServer.stage_metrics`).
 
 Every result a caller receives is relabeled with *its* requested
 ``trace_id`` — coalescing and caching are invisible to response content.
@@ -28,6 +31,7 @@ Every result a caller receives is relabeled with *its* requested
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import deque
 from dataclasses import replace
@@ -35,9 +39,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.core.pipeline import PipelineContext, PipelineObserver
 from repro.core.report import DiagnosisReport
-from repro.core.service import DiagnosisService
+from repro.core.service import DiagnosisService, StageMetrics
 from repro.darshan.log import DarshanLog
-from repro.llm.client import Usage
+from repro.llm.client import FaultEvent, Usage
 from repro.serve.metrics import (
     LATENCY_BUCKET_BOUNDS,
     QUEUE_DEPTH_BUCKET_BOUNDS,
@@ -135,23 +139,29 @@ class PendingDiagnosis:
         return report
 
 
-class _StageUsageObserver(PipelineObserver):
-    """Per-run collector: stage -> accumulated usage + measured seconds."""
+class _MetricsCollector(PipelineObserver):
+    """Per-run collector: stage -> accumulated time, usage and faults."""
 
     def __init__(self) -> None:
-        self.stage_usage: dict[str, Usage] = {}
-        self.stage_seconds: dict[str, float] = {}
+        self.stages: dict[str, StageMetrics] = {}
         self._lock = threading.Lock()
+
+    def _metrics(self, stage: str) -> StageMetrics:
+        return self.stages.setdefault(stage, StageMetrics())
 
     def on_stage_end(self, stage: str, ctx: PipelineContext, seconds: float) -> None:
         with self._lock:
-            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+            self._metrics(stage).add_time(seconds)
 
     def on_llm_call(
         self, stage: str, ctx: PipelineContext, model: str, usage: Usage, call_id: str
     ) -> None:
         with self._lock:
-            self.stage_usage.setdefault(stage, Usage()).add(usage)
+            self._metrics(stage).add_usage(usage)
+
+    def on_fault_event(self, stage: str, ctx: PipelineContext, event: FaultEvent) -> None:
+        with self._lock:
+            self._metrics(stage).add_fault(event.kind)
 
 
 class DiagnosisServer:
@@ -205,6 +215,7 @@ class DiagnosisServer:
         self._queue_depth_hist = FixedBucketHistogram(QUEUE_DEPTH_BUCKET_BOUNDS, unit="")
         self._request_hist = FixedBucketHistogram(LATENCY_BUCKET_BOUNDS)
         self._stage_hists: dict[str, FixedBucketHistogram] = {}
+        self._stage_totals: dict[str, StageMetrics] = {}
 
         if autostart:
             self.start()
@@ -322,16 +333,16 @@ class DiagnosisServer:
                     return
                 entry = self._queue.popleft()
                 self._active += 1
-            observer = _StageUsageObserver()
+            collector = _MetricsCollector()
             report: DiagnosisReport | None = None
             error: BaseException | None = None
             try:
                 report = self.service.execute(
-                    entry.key, entry.log, trace_id=entry.key[0][:12], observers=(observer,)
+                    entry.key, entry.log, trace_id=entry.key[0][:12], observers=(collector,)
                 )
             except BaseException as exc:  # noqa: BLE001 - delivered to every waiter
                 error = exc
-            self._record_run(observer, report, error)
+            self._record_run(collector, report, error)
             self._finish(entry, report, error)
 
     def _finish(
@@ -345,7 +356,7 @@ class DiagnosisServer:
 
     def _record_run(
         self,
-        observer: _StageUsageObserver,
+        collector: _MetricsCollector,
         report: DiagnosisReport | None,
         error: BaseException | None,
     ) -> None:
@@ -356,18 +367,23 @@ class DiagnosisServer:
             # Mirrors the service's persistence rule: clean results only.
             if self.service.store is not None and report is not None and not report.degraded:
                 self.counters.store_writes += 1
+            for stage, metrics in collector.stages.items():
+                self._stage_totals.setdefault(stage, StageMetrics()).merge(metrics)
         total = 0.0
-        stages = sorted(set(observer.stage_seconds) | set(observer.stage_usage))
-        for stage in stages:
+        for stage, metrics in sorted(collector.stages.items()):
             if self.wall_clock:
-                seconds = observer.stage_seconds.get(stage, 0.0)
+                seconds = metrics.seconds
             else:
-                usage = observer.stage_usage.get(stage, Usage())
+                usage = Usage(
+                    prompt_tokens=metrics.prompt_tokens,
+                    completion_tokens=metrics.completion_tokens,
+                    calls=metrics.calls,
+                )
                 seconds = self.latency_model.stage_seconds(usage)
             total += seconds
             hist = self._stage_hist(stage)
             hist.observe(seconds)
-        if not stages and not self.wall_clock:
+        if not collector.stages and not self.wall_clock:
             # Tools without pipeline observers still cost the model floor.
             total = self.latency_model.base_seconds
         self._request_hist.observe(total)
@@ -381,6 +397,11 @@ class DiagnosisServer:
             return hist
 
     # -- telemetry ---------------------------------------------------------
+
+    def stage_metrics(self) -> dict[str, StageMetrics]:
+        """Per-stage totals over every run this server executed (a copy)."""
+        with self._lock:
+            return copy.deepcopy(self._stage_totals)
 
     def metrics_snapshot(self) -> ServeSnapshot:
         """The current :class:`ServeSnapshot` (canonical-JSON exportable)."""

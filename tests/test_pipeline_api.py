@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from repro.core.agent import IOAgent, IOAgentConfig
+from repro.core.batch import diagnose_batch
 from repro.core.pipeline import (
     DEFAULT_STAGE_ORDER,
     DiagnosisPipeline,
@@ -161,11 +162,11 @@ class TestService:
     def test_cache_hit_on_identical_content(self, sb01_trace):
         service = DiagnosisService(config=IOAgentConfig(seed=0))
         first = service.diagnose(sb01_trace.log, trace_id="t1")
-        calls_after_first = service.usage().calls
+        calls_after_first = service.stats().usage.calls
         again = service.diagnose(sb01_trace.log, trace_id="t1")
         assert service.cache_hits == 1 and service.cache_misses == 1
         assert again is first
-        assert service.usage().calls == calls_after_first  # no new LLM work
+        assert service.stats().usage.calls == calls_after_first  # no new LLM work
 
     def test_cache_hit_relabels_trace_id(self, sb01_trace):
         service = DiagnosisService(config=IOAgentConfig(seed=0))
@@ -173,12 +174,6 @@ class TestService:
         renamed = service.diagnose(sb01_trace.log, trace_id="b")
         assert renamed.trace_id == "b"
         assert renamed.text == first.text
-
-    def test_cache_disabled(self, sb01_trace):
-        service = DiagnosisService(config=IOAgentConfig(seed=0), cache=False)
-        service.diagnose(sb01_trace.log)
-        service.diagnose(sb01_trace.log)
-        assert service.cache_hits == 0
 
     def test_service_matches_direct_agent(self, sb01_trace):
         direct = IOAgent(IOAgentConfig(seed=0)).diagnose(sb01_trace.log, trace_id="eq")
@@ -190,7 +185,7 @@ class TestService:
     def test_batch_collects_stage_metrics(self, bench):
         traces = [bench.get("sb01-small-writes"), bench.get("sb06-shared-file")]
         service = DiagnosisService(config=IOAgentConfig(seed=0))
-        result = service.diagnose_batch(traces, max_workers=2)
+        result = diagnose_batch(service, traces, workers=2)
         assert set(result.reports) == {t.trace_id for t in traces}
         assert set(result.stage_metrics) == set(DEFAULT_STAGE_ORDER)
         for stage in ("describe", "diagnose", "merge"):
@@ -200,7 +195,7 @@ class TestService:
         assert result.total_seconds > 0.0
         assert result.llm_calls == sum(m.calls for m in result.stage_metrics.values())
         # Re-running the same batch is served from cache: no new LLM calls.
-        rerun = service.diagnose_batch(traces, max_workers=2)
+        rerun = diagnose_batch(service, traces, workers=2)
         assert rerun.cache_hits == len(traces)
         assert rerun.llm_calls == 0
         assert {r.text for r in rerun.reports.values()} == {
@@ -209,7 +204,7 @@ class TestService:
 
     def test_service_over_heuristic_tool(self, bench):
         service = DiagnosisService(tool="drishti", config=IOAgentConfig(seed=0))
-        result = service.diagnose_batch([bench.get("sb01-small-writes")])
+        result = diagnose_batch(service, [bench.get("sb01-small-writes")])
         assert result.tool == "drishti"
         assert result.llm_calls == 0 and result.cost_usd == 0.0
         assert result.stage_metrics == {}  # no pipeline → no stage telemetry

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.agent import IOAgent, IOAgentConfig
+from repro.core.batch import diagnose_batch
 from repro.core.service import DiagnosisService
 from repro.llm.client import LLMClient
 from repro.resilience import (
@@ -221,7 +222,7 @@ def _service(plan_name: str, **config_kwargs) -> DiagnosisService:
         get_fault_plan(plan_name), retry_policy=RetryPolicy(), breaker=CircuitBreaker()
     )
     agent = IOAgent(config, client=client)
-    return DiagnosisService(tool=agent, config=config, max_workers=1)
+    return DiagnosisService(tool=agent, config=config)
 
 
 class TestDegradation:
@@ -235,7 +236,7 @@ class TestDegradation:
     def test_degraded_reports_are_never_cached(self, sb01_trace):
         service = _service("merge-outage")
         service.diagnose(sb01_trace.log, trace_id=sb01_trace.trace_id)
-        assert service.cached_reports() == ()
+        assert service.stats().cached_reports == ()
         service.diagnose(sb01_trace.log, trace_id=sb01_trace.trace_id)
         assert service.cache_hits == 0 and service.cache_misses == 2
 
@@ -253,21 +254,21 @@ class TestDegradation:
 
     def test_clean_runs_stay_undegraded_and_cache(self, sb01_trace):
         config = IOAgentConfig(max_workers=1)
-        service = DiagnosisService(tool=IOAgent(config), config=config, max_workers=1)
+        service = DiagnosisService(tool=IOAgent(config), config=config)
         report = service.diagnose(sb01_trace.log, trace_id=sb01_trace.trace_id)
         assert report.degraded == ()
         assert "DEGRADED" not in report.render()
-        assert len(service.cached_reports()) == 1
+        assert len(service.stats().cached_reports) == 1
 
     def test_stage_metrics_attribute_retries(self, sb01_trace):
         service = _service("flaky-llm")
-        result = service.diagnose_batch([sb01_trace])
+        result = diagnose_batch(service, [sb01_trace])
         assert sum(m.retries for m in result.stage_metrics.values()) > 0
         assert result.degraded_traces == {}  # transparent recovery
 
     def test_batch_surfaces_degraded_traces(self, sb01_trace):
         service = _service("merge-outage")
-        result = service.diagnose_batch([sb01_trace])
+        result = diagnose_batch(service, [sb01_trace])
         assert result.degraded_traces == {sb01_trace.trace_id: ("merge",)}
 
 

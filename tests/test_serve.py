@@ -10,6 +10,8 @@ plus the unified registry-lookup error surface and the reconciled
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -21,9 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.agent import IOAgent, IOAgentConfig
+from repro.core.batch import diagnose_batch
+from repro.core.pipeline import PipelineContext
 from repro.core.registry import ToolNotFoundError
 from repro.core.service import DiagnosisService, ServiceStats
-from repro.llm.client import Usage
+from repro.llm.client import FaultEvent, LLMClient, Usage
 from repro.resilience import (
     CircuitBreaker,
     FaultPlanNotFoundError,
@@ -48,6 +52,10 @@ from repro.workloads.scenarios import ScenarioNotFoundError, SeriesScenarioNotFo
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+# sha256 of the modeled snapshot after serving sb01 four times (seed 0):
+# any change to how the server collects stage telemetry must keep it.
+SB01_X4_SNAPSHOT_SHA256 = "f3dd0c243c575265a200a140f6a08140d60395e61773ce2833ba1f29d84cedf7"
+
 
 def _service(**config_kwargs) -> DiagnosisService:
     config = IOAgentConfig(seed=0, max_workers=1, **config_kwargs)
@@ -63,7 +71,7 @@ def _degraded_service(store=None) -> DiagnosisService:
         breaker=CircuitBreaker(),
     )
     agent = IOAgent(config, client=client)
-    return DiagnosisService(tool=agent, config=config, max_workers=1, store=store)
+    return DiagnosisService(tool=agent, config=config, store=store)
 
 
 # -- histograms + latency model ------------------------------------------
@@ -192,7 +200,7 @@ class TestResultStore:
         assert report_from_dict(report_to_dict(report)).degraded == ("merge", "temporal")
 
     def test_same_key_writers_in_one_process_do_not_collide(self, tmp_path):
-        # Identical traces in one diagnose_batch write one key from
+        # Concurrent diagnose() calls for one trace write one key from
         # several threads of one process at once.
         store = ResultStore(tmp_path)
         report = self._report()
@@ -326,13 +334,6 @@ class TestServiceStats:
         stats.usage.calls += 1000
         assert service.stats().usage.calls == before
 
-    def test_deprecated_wrappers_agree_with_stats(self, sb01_trace):
-        service = _service()
-        service.diagnose(sb01_trace.log, trace_id="a")
-        stats = service.stats()
-        assert service.cached_reports() == stats.cached_reports
-        assert service.usage().calls == stats.usage.calls
-
     def test_clear_cache_resets_counters(self, sb01_trace):
         service = _service()
         service.diagnose(sb01_trace.log, trace_id="a")
@@ -400,6 +401,7 @@ class TestDiagnosisServer:
 
         first, second = snapshot(), snapshot()
         assert first == second
+        assert hashlib.sha256(first.encode("utf-8")).hexdigest() == SB01_X4_SNAPSHOT_SHA256
         payload = json.loads(first)
         assert payload["latency_mode"] == "modeled"
         assert payload["counters"]["submitted"] == 4
@@ -513,6 +515,103 @@ class TestOneContentKeyPerRequest:
         service.diagnose(sb01_trace.log)
         assert service.stats().cache_misses == 1 and len(service.store) == 1
         assert len(service.keys) == 1
+
+
+# -- batches are served; the server's stage totals -------------------------
+
+
+class _ManyStageTool:
+    """A cheap pipeline tool: one LLM call and one retry in each of ``STAGES`` stages."""
+
+    name = "many-stage"
+    config = None
+    STAGES = 50
+
+    def __init__(self) -> None:
+        self.client = LLMClient(seed=0)
+
+    def run(self, log, trace_id="trace", observers=()):
+        ctx = PipelineContext(
+            log=log, trace_id=trace_id, config=IOAgentConfig(), client=self.client
+        )
+        for obs in observers:
+            for i in range(self.STAGES):
+                stage, call_id = f"s{i}", f"{trace_id}/{i}"
+                obs.on_llm_call(stage, ctx, "gpt-4o", Usage(calls=1), call_id)
+                obs.on_fault_event(stage, ctx, FaultEvent("retry", call_id, "gpt-4o"))
+                obs.on_stage_end(stage, ctx, 0.001)
+        return ctx
+
+    def diagnose(self, log, trace_id="trace"):
+        return self.run(log, trace_id).build_report()
+
+    def usage(self):
+        return Usage()
+
+
+class _IdentityKeyService(DiagnosisService):
+    """Keys a request by its log object, so every distinct object is one run."""
+
+    def cache_key(self, log):
+        return (str(id(log)), self.tool.name, "")
+
+
+class TestBatchesAreServed:
+    """diagnose_batch scores what serve_all returns; stage totals are the server's."""
+
+    def test_duplicate_content_in_one_batch_costs_one_run(self, sb01_trace):
+        twin = dataclasses.replace(sb01_trace, trace_id="sb01-twin")
+        service = _service()
+        result = diagnose_batch(service, [sb01_trace, twin], workers=2)
+        assert result.llm_calls == 287  # one sb01 run, not two
+        assert service.stats().cache_misses == 1
+        first, second = result.reports[sb01_trace.trace_id], result.reports["sb01-twin"]
+        assert first.text == second.text
+        assert (first.trace_id, second.trace_id) == (sb01_trace.trace_id, "sb01-twin")
+
+    def test_batch_report_is_the_served_report(self, sb01_trace):
+        batch = diagnose_batch(_service(), [sb01_trace])
+        server = DiagnosisServer(_service(), autostart=False)
+        (served,) = server.serve_all([(sb01_trace.log, "served")])
+        server.close()
+        assert batch.reports[sb01_trace.trace_id].text == served.text
+        # The batch's stage telemetry is the server's.
+        assert {s: m.calls for s, m in batch.stage_metrics.items()} == {
+            s: m.calls for s, m in server.stage_metrics().items()
+        }
+
+    def test_server_stage_metrics_total_every_run_and_copy(self, bench):
+        traces = [bench.get("sb01-small-writes"), bench.get("sb06-shared-file")]
+        service = _service()
+        server = DiagnosisServer(service, autostart=False)
+        server.serve_all([(t.log, t.trace_id) for t in traces])
+        server.close()
+        totals = server.stage_metrics()
+        assert sum(m.calls for m in totals.values()) == service.stats().usage.calls
+        totals["describe"].calls += 1000
+        assert server.stage_metrics()["describe"].calls == totals["describe"].calls - 1000
+
+    def test_stage_totals_lose_no_update_under_many_workers(self):
+        service = _IdentityKeyService(tool=_ManyStageTool(), config=IOAgentConfig(seed=0))
+        n_runs, workers = 400, max(8, 2 * (os.cpu_count() or 1))
+        server = DiagnosisServer(service, workers=workers, queue_depth=n_runs, autostart=False)
+        logs = [object() for _ in range(n_runs)]
+        handles = [server.submit(log, trace_id=f"r{i}") for i, log in enumerate(logs)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            server.start()
+            for handle in handles:
+                handle.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            server.close()
+        assert server.counters.executed == n_runs
+        totals = server.stage_metrics()
+        assert len(totals) == _ManyStageTool.STAGES
+        assert {(m.calls, m.retries, m.faults["retry"]) for m in totals.values()} == {
+            (n_runs, n_runs, n_runs)
+        }
 
 
 # -- unified registry lookup errors --------------------------------------
