@@ -26,9 +26,9 @@ between minor versions.  Four layers:
 
 * :class:`DiagnosisPipeline` composes pluggable stages (``preprocess →
   summarize → temporal → describe → integrate → diagnose → merge``) over a typed
-  :class:`PipelineContext`; :class:`PipelineObserver` hooks
-  (``on_stage_start/end``, ``on_llm_call``) expose per-stage latency and
-  token spend.  Ablations swap stages, not booleans.
+  :class:`PipelineContext`, whose ``stage_metrics`` records each stage's
+  latency, token spend and faults; :class:`PipelineObserver` hooks see
+  the same events live.  Ablations swap stages, not booleans.
 
 **Service** (:mod:`repro.core.service`):
 
@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "3.0.0"  # major: DiagnosisService loses diagnose_batch + deprecated wrappers
+__version__ = "4.0.0"  # major: LLMClient listeners -> call_scope; execute returns the record
 
 __all__ = [
     # tools

@@ -10,6 +10,8 @@ no references can be produced.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.registry import register_tool
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
@@ -17,7 +19,15 @@ from repro.darshan.writer import render_darshan_text
 from repro.llm.client import LLMClient, Usage
 from repro.llm.tasks.plain import build_plain_prompt
 
-__all__ = ["IONTool"]
+__all__ = ["IONConfig", "IONTool"]
+
+
+@dataclass(frozen=True)
+class IONConfig:
+    """What an ION report depends on; its ``repr`` keys cached results."""
+
+    model: str
+    seed: int
 
 
 class IONTool:
@@ -27,7 +37,11 @@ class IONTool:
 
     def __init__(self, client: LLMClient | None = None, model: str = "gpt-4o", seed: int = 0) -> None:
         self.client = client or LLMClient(seed=seed)
-        self.model = model
+        self.config = IONConfig(model=model, seed=self.client.seed)
+
+    @property
+    def model(self) -> str:
+        return self.config.model
 
     def diagnose(self, log: DarshanLog, trace_id: str = "trace") -> DiagnosisReport:
         """Diagnose one Darshan log by direct prompting."""

@@ -291,11 +291,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_log(path: str) -> DarshanLog:
-    from repro.darshan.parser import parse_darshan_text
+class _TraceFileError(Exception):
+    """A trace file that cannot be read or parsed; :func:`main` exits 2 on it."""
 
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_darshan_text(fh.read())
+
+def _load_log(path: str) -> DarshanLog:
+    from repro.darshan.parser import DarshanParseError, parse_darshan_text
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_darshan_text(fh.read())
+    except OSError as exc:
+        raise _TraceFileError(f"{path}: {exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, DarshanParseError) as exc:
+        raise _TraceFileError(f"{path}: {exc}") from exc
 
 
 def _cmd_tool(args) -> int:
@@ -703,7 +712,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command is None:
         parser.error("a command is required (or --list-tools / --list-scenarios / --version)")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _TraceFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

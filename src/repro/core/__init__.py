@@ -19,7 +19,7 @@ layer:
 8. :mod:`repro.core.registry` — the `DiagnosticTool` protocol + registry;
 9. :mod:`repro.core.agent` — IOAgent, a facade over the default pipeline;
 10. :mod:`repro.core.service` — DiagnosisService: caching, the shared
-    tool instance, pipeline observers;
+    tool instance, pipeline observers, and each run's per-stage record;
 11. :mod:`repro.core.session` — post-diagnosis interactive Q&A (Fig. 5).
 """
 

@@ -107,7 +107,7 @@ class IOAgent:
         observers: Sequence[PipelineObserver] = (),
     ) -> PipelineContext:
         """Like :meth:`diagnose` but returns the full pipeline context
-        (stage timings, per-stage usage, intermediate products)."""
+        (intermediate products and this run's ``stage_metrics``)."""
         return self.pipeline.run(
             log,
             trace_id,

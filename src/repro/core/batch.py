@@ -23,7 +23,8 @@ from repro.core.report import DiagnosisReport
 from repro.tracebench.dataset import LabeledTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.service import DiagnosisService, StageMetrics
+    from repro.core.pipeline import StageMetrics
+    from repro.core.service import DiagnosisService
 
 __all__ = ["BatchResult", "diagnose_batch", "run_batch", "run_scenario_batch", "cost_comparison"]
 

@@ -11,7 +11,7 @@ Key pieces:
 
 * :class:`PipelineContext` — the typed carrier threaded through stages:
   the Darshan log, summary fragments, per-fragment intermediate products,
-  per-stage wall-clock timings, and per-stage LLM usage;
+  and the run's per-stage telemetry (``stage_metrics``);
 * :class:`Stage` — the protocol every stage implements (``name`` +
   ``run(ctx)``); the six default stages live here too;
 * :class:`PipelineObserver` — event hooks (``on_stage_start``,
@@ -19,7 +19,8 @@ Key pieces:
 * :class:`PipelineTool` — the contract of a tool whose diagnosis is one
   observable pipeline run (``run(log, trace_id, observers)``);
 * :class:`DiagnosisPipeline` — runs stages in order, times them, and
-  attributes every LLM call made during a stage to that stage;
+  attributes every LLM call made in the run's
+  :func:`~repro.llm.client.call_scope` to the stage running it;
 * :func:`build_default_pipeline` — the paper-default stage list derived
   from an :class:`~repro.core.agent.IOAgentConfig`.
 
@@ -40,9 +41,9 @@ Failure semantics (the resilience contract):
 * the merge stage falls back to plain concatenation when merging calls
   fail, so a report is always produced once fragment diagnoses exist;
 * recovery-layer incidents (retries, circuit trips, injected faults) are
-  attributed to the running stage via the client's fault listener and
-  surfaced through ``PipelineContext.stage_faults`` and the
-  ``on_fault_event`` observer hook.
+  attributed to the running stage through the run's call scope and
+  surfaced through ``StageMetrics.faults`` and the ``on_fault_event``
+  observer hook.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.core.preprocess import ModuleTable, split_modules
 from repro.core.report import DiagnosisReport
 from repro.core.summaries import SummaryFragment, app_context_facts, extract_fragments
 from repro.darshan.log import DarshanLog
-from repro.llm.client import FaultEvent, LLMClient, Usage
+from repro.llm.client import FaultEvent, LLMClient, Usage, call_scope
 from repro.llm.facts import Fact
 from repro.rag.retriever import Retriever
 from repro.resilience.errors import ResilienceError
@@ -71,6 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "PipelineContext",
+    "StageMetrics",
     "StageFailure",
     "Stage",
     "PipelineObserver",
@@ -116,14 +118,51 @@ class StageFailure:
 
 
 @dataclass
+class StageMetrics:
+    """Latency, LLM spend and recovery incidents of one stage."""
+
+    seconds: float = 0.0
+    calls: int = 0
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
+    cost_usd: float = 0.0
+    # fault-event kind (e.g. "retry", "transient", "garbled") -> count.
+    faults: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def retries(self) -> int:
+        return self.faults.get("retry", 0)
+
+    @property
+    def circuit_trips(self) -> int:
+        return self.faults.get("circuit-trip", 0)
+
+    def add_usage(self, usage: Usage) -> None:
+        self.calls += usage.calls
+        self.prompt_tokens += usage.prompt_tokens
+        self.completion_tokens += usage.completion_tokens
+        self.cost_usd += usage.cost_usd
+
+    def merge(self, other: "StageMetrics") -> None:
+        """Fold another run's totals for the same stage into this one."""
+        self.seconds += other.seconds
+        self.calls += other.calls
+        self.prompt_tokens += other.prompt_tokens
+        self.completion_tokens += other.completion_tokens
+        self.cost_usd += other.cost_usd
+        for kind, count in other.faults.items():
+            self.faults[kind] = self.faults.get(kind, 0) + count
+
+
+@dataclass
 class PipelineContext:
     """Everything a stage may read or write while diagnosing one trace.
 
     Stages communicate exclusively through this object: earlier stages
     populate fields that later stages consume (``fragments`` feeds
     ``descriptions`` feeds ``integrations`` feeds ``diagnoses`` feeds
-    ``merged_text``).  The pipeline itself fills the telemetry fields
-    (``stage_seconds``, ``stage_usage``).
+    ``merged_text``).  The pipeline itself fills ``stage_metrics``, the
+    run's one telemetry record.
     """
 
     log: DarshanLog
@@ -142,14 +181,11 @@ class PipelineContext:
     diagnoses: dict[str, str] = field(default_factory=dict)
     merged_text: str = ""
 
-    # Telemetry: wall-clock seconds and LLM usage attributed per stage.
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    stage_usage: dict[str, Usage] = field(default_factory=dict)
+    # Telemetry: the run's record, one StageMetrics per stage in stage order.
+    stage_metrics: dict[str, StageMetrics] = field(default_factory=dict)
 
-    # Resilience: absorbed failures and per-stage fault-event counts
-    # (stage -> fault kind -> count).
+    # Resilience: absorbed failures.
     stage_failures: list[StageFailure] = field(default_factory=list)
-    stage_faults: dict[str, dict[str, int]] = field(default_factory=dict)
     failure_lock: Lock = field(default_factory=Lock, repr=False)
 
     def record_failure(
@@ -241,9 +277,9 @@ class PipelineObserver:
 class PipelineTool(Protocol):
     """A tool whose diagnosis is one observable pipeline run (``IOAgent``).
 
-    The service runs every tool that has a ``run`` method as
-    ``run(...).build_report()``, so observers see each stage, and any
-    other tool through ``diagnose``.
+    The service runs every tool that has a ``run`` method through it, so
+    observers see each stage and the run's ``stage_metrics`` reach the
+    serving layer; any other tool runs through ``diagnose``.
     """
 
     def run(
@@ -539,52 +575,40 @@ class DiagnosisPipeline:
     ) -> PipelineContext:
         """Execute every stage over one trace; returns the full context.
 
-        ``observers`` extends (per call) the observers bound at
-        construction — the service layer uses this to attach per-batch
-        metric collectors without mutating a shared pipeline.
+        ``ctx.stage_metrics`` counts only the calls made in this run's
+        context, so concurrent runs on one client never count each other's.
+        ``observers`` extends (per call) the observers bound at construction.
         """
         ctx = PipelineContext(
             log=log, trace_id=trace_id, config=config, client=client, retriever=retriever
         )
         all_observers = self.observers + tuple(observers)
         current_stage = ""
+        current_metrics = StageMetrics()
         usage_lock = Lock()
-        # Concurrent runs may share one client; every call this run makes
-        # is namespaced under its trace_id, so filter out other runs' calls
-        # (otherwise usage would be cross-attributed between traces).
-        call_prefix = f"{trace_id}/"
 
         def on_usage(model: str, usage: Usage, call_id: str) -> None:
-            if not call_id.startswith(call_prefix):
-                return
             with usage_lock:
-                ctx.stage_usage.setdefault(current_stage, Usage()).add(usage)
+                current_metrics.add_usage(usage)
             for obs in all_observers:
                 obs.on_llm_call(current_stage, ctx, model, usage, call_id)
 
         def on_fault(event: FaultEvent) -> None:
-            if event.call_id and not event.call_id.startswith(call_prefix):
-                return
             with usage_lock:
-                per_stage = ctx.stage_faults.setdefault(current_stage, {})
-                per_stage[event.kind] = per_stage.get(event.kind, 0) + 1
+                faults = current_metrics.faults
+                faults[event.kind] = faults.get(event.kind, 0) + 1
             if event.kind == "garbled":
                 # A mangled completion is corrupted evidence the pipeline
                 # cannot repair: mark the channel lost so the report says
                 # degraded and the service refuses to cache it.
-                ctx.record_failure(
-                    current_stage,
-                    "llm-completions",
-                    f"garbled completion in call {event.call_id!r}",
-                )
+                ctx.record_failure(current_stage, "llm-completions", repr(event))
             for obs in all_observers:
                 obs.on_fault_event(current_stage, ctx, event)
 
-        client.add_usage_listener(on_usage)
-        client.add_fault_listener(on_fault)
-        try:
+        with call_scope(on_usage, on_fault):
             for stage in self.stages:
                 current_stage = stage.name
+                current_metrics = ctx.stage_metrics.setdefault(stage.name, StageMetrics())
                 for obs in all_observers:
                     obs.on_stage_start(stage.name, ctx)
                 started = time.perf_counter()
@@ -599,14 +623,9 @@ class DiagnosisPipeline:
                     ctx.record_failure(stage.name, channel, repr(exc))
                 finally:
                     elapsed = time.perf_counter() - started
-                    ctx.stage_seconds[stage.name] = (
-                        ctx.stage_seconds.get(stage.name, 0.0) + elapsed
-                    )
+                    current_metrics.seconds += elapsed
                     for obs in all_observers:
                         obs.on_stage_end(stage.name, ctx, elapsed)
-        finally:
-            client.remove_usage_listener(on_usage)
-            client.remove_fault_listener(on_fault)
         return ctx
 
 

@@ -14,19 +14,19 @@ belong inside a tool:
   see every stage of a :class:`~repro.core.pipeline.PipelineTool` run.
 
 Concurrency lives one layer up: :class:`~repro.serve.server.DiagnosisServer`
-queues, coalesces and runs requests on its worker pool and collects the
-per-stage telemetry (:class:`StageMetrics`).  Batches
+queues, coalesces and runs requests on its worker pool and folds each run's
+per-stage record (:meth:`DiagnosisService.execute`) into its telemetry.  Batches
 (:func:`repro.core.batch.diagnose_batch`) are one of its clients.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from threading import Lock
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.pipeline import PipelineObserver, PipelineTool
+from repro.core.pipeline import PipelineObserver, PipelineTool, StageMetrics
 from repro.core.registry import DiagnosticTool, get_tool
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import IOAgentConfig
     from repro.serve.store import ResultStore
 
-__all__ = ["StageMetrics", "ServiceStats", "DiagnosisService", "trace_digest"]
+__all__ = ["ServiceStats", "DiagnosisService", "trace_digest"]
 
 
 def trace_digest(log: DarshanLog) -> str:
@@ -59,50 +59,6 @@ def trace_digest(log: DarshanLog) -> str:
             log.dxt_digest_cache = dxt_digest(log.dxt_segments)
         digest.update(log.dxt_digest_cache.encode("ascii"))
     return digest.hexdigest()
-
-
-@dataclass
-class StageMetrics:
-    """Aggregate latency/cost/fault telemetry for one stage across runs."""
-
-    seconds: float = 0.0
-    calls: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    cost_usd: float = 0.0
-    # Recovery-layer telemetry attributed to this stage.
-    retries: int = 0
-    circuit_trips: int = 0
-    # fault-event kind (e.g. "transient", "timeout", "garbled") -> count.
-    faults: dict[str, int] = field(default_factory=dict)
-
-    def add_time(self, seconds: float) -> None:
-        self.seconds += seconds
-
-    def add_usage(self, usage: Usage) -> None:
-        self.calls += usage.calls
-        self.prompt_tokens += usage.prompt_tokens
-        self.completion_tokens += usage.completion_tokens
-        self.cost_usd += usage.cost_usd
-
-    def add_fault(self, kind: str) -> None:
-        if kind == "retry":
-            self.retries += 1
-        elif kind == "circuit-trip":
-            self.circuit_trips += 1
-        self.faults[kind] = self.faults.get(kind, 0) + 1
-
-    def merge(self, other: "StageMetrics") -> None:
-        """Fold another run's totals for the same stage into this one."""
-        self.seconds += other.seconds
-        self.calls += other.calls
-        self.prompt_tokens += other.prompt_tokens
-        self.completion_tokens += other.completion_tokens
-        self.cost_usd += other.cost_usd
-        self.retries += other.retries
-        self.circuit_trips += other.circuit_trips
-        for kind, count in other.faults.items():
-            self.faults[kind] = self.faults.get(kind, 0) + count
 
 
 @dataclass(frozen=True)
@@ -232,7 +188,7 @@ class DiagnosisService:
         hit = self.lookup(key, trace_id)
         if hit is not None:
             return hit
-        return self.execute(key, log, trace_id, observers)
+        return self.execute(key, log, trace_id, observers)[0]
 
     def execute(
         self,
@@ -240,14 +196,16 @@ class DiagnosisService:
         log: DarshanLog,
         trace_id: str = "trace",
         observers: Sequence[PipelineObserver] = (),
-    ) -> DiagnosisReport:
+    ) -> tuple[DiagnosisReport, dict[str, StageMetrics]]:
         """Run the tool on ``log`` and record a clean report under ``key``.
 
         The miss path of :meth:`diagnose`, also taken by the serving
         layer's workers with the key their request computed at submit:
         it neither probes nor digests.  The run counts as a cache miss.
+        Returns the report and the run's ``stage_metrics`` (``{}`` for a
+        tool that is not a :class:`~repro.core.pipeline.PipelineTool`).
         """
-        report = self._run_tool(log, trace_id, observers)
+        report, stage_metrics = self._run_tool(log, trace_id, observers)
         with self._cache_lock:
             self.cache_misses += 1
             # Never cache a degraded report: the degradation came from
@@ -260,16 +218,16 @@ class DiagnosisService:
         # atomic write happens outside the cache lock.
         if self.store is not None and not report.degraded:
             self.store.put(key, report)
-        return report
+        return report, stage_metrics
 
     def _run_tool(
         self, log: DarshanLog, trace_id: str, observers: Sequence[PipelineObserver]
-    ) -> DiagnosisReport:
+    ) -> tuple[DiagnosisReport, dict[str, StageMetrics]]:
         if isinstance(self.tool, PipelineTool):
             # The observers see every stage of a pipeline-backed run.
             ctx = self.tool.run(log, trace_id, observers=self.observers + tuple(observers))
-            return ctx.build_report()
-        return self.tool.diagnose(log, trace_id=trace_id)
+            return ctx.build_report(), ctx.stage_metrics
+        return self.tool.diagnose(log, trace_id=trace_id), {}
 
     # -- stats (the one coherent accessor; see ServiceStats) ---------------
 

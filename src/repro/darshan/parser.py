@@ -15,8 +15,8 @@ Two failure postures:
 * **lenient** (``lenient=True``) — malformed record/DXT lines are
   *skipped and counted* into a :class:`ParseReport` instead of raising,
   so a truncated or partially-garbled trace still yields every record
-  that survived.  Missing required header fields raise even in lenient
-  mode: with no job header there is no log to speak of.
+  that survived.  Missing or malformed required header fields raise even
+  in lenient mode: with no job header there is no log to speak of.
 
 Use :func:`parse_darshan_text_with_report` when you need the
 :class:`ParseReport`; :func:`parse_darshan_text` keeps the original
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.darshan.log import DarshanLog, JobHeader
 from repro.darshan.records import DarshanRecord
@@ -71,6 +72,8 @@ class ParseReport:
         return not self.skipped
 
 
+_T = TypeVar("_T")
+
 _HEADER_RE = re.compile(r"^# ([a-z_ ]+): (.*)$")
 _MOUNT_RE = re.compile(r"^# mount entry:\t(\S+)\t(\S+)$")
 
@@ -105,6 +108,14 @@ def _parse_record_line(
         rec.fcounters[counter] = value
     else:
         rec.counters[counter] = value
+
+
+def _header_value(fields: dict[str, str], name: str, convert: Callable[[str], _T]) -> _T:
+    """Convert one required header field, naming it if the value is malformed."""
+    try:
+        return convert(fields[name])
+    except ValueError:
+        raise DarshanParseError(f"header field {name!r}: invalid value {fields[name]!r}") from None
 
 
 def parse_darshan_text_with_report(
@@ -154,6 +165,17 @@ def parse_darshan_text_with_report(
     if missing:
         # Even lenient parsing needs a job header to anchor the log.
         raise DarshanParseError(f"missing header fields: {missing}")
+    header = JobHeader(
+        exe=header_fields["exe"],
+        uid=_header_value(header_fields, "uid", int),
+        jobid=_header_value(header_fields, "jobid", int),
+        nprocs=_header_value(header_fields, "nprocs", int),
+        start_time=_header_value(header_fields, "start_time", int),
+        end_time=_header_value(header_fields, "end_time", int),
+        run_time=_header_value(header_fields, "run time", float),
+        log_version=header_fields.get("darshan log version", "3.41"),
+        mounts=mounts,
+    )
 
     dxt_segments = None
     dxt_lines = 0
@@ -176,17 +198,6 @@ def parse_darshan_text_with_report(
         dxt_lines = len(table)
         dxt_segments = table if len(table) else None
 
-    header = JobHeader(
-        exe=header_fields["exe"],
-        uid=int(header_fields["uid"]),
-        jobid=int(header_fields["jobid"]),
-        nprocs=int(header_fields["nprocs"]),
-        start_time=int(header_fields["start_time"]),
-        end_time=int(header_fields["end_time"]),
-        run_time=float(header_fields["run time"]),
-        log_version=header_fields.get("darshan log version", "3.41"),
-        mounts=mounts,
-    )
     log = DarshanLog(
         header=header, records=list(records.values()), dxt_segments=dxt_segments
     )

@@ -16,15 +16,17 @@ taxonomy in :mod:`repro.resilience.errors`: transient errors and timeouts
 are retried with deterministic backoff, permanent errors surface at once,
 and an open breaker fast-fails the call without placing it.  Every
 recovery action is counted (:meth:`resilience_metrics`) and published as a
-:class:`FaultEvent` so the pipeline can attribute faults per stage.
+:class:`FaultEvent` to the :func:`call_scope` the call runs in.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.llm.engine import SimLLMEngine
 from repro.llm.models import ModelProfile, get_model
@@ -45,6 +47,7 @@ __all__ = [
     "UsageListener",
     "FaultEvent",
     "FaultListener",
+    "call_scope",
 ]
 
 
@@ -88,7 +91,7 @@ UsageListener = Callable[[str, Usage, str], None]
 
 @dataclass(frozen=True, slots=True)
 class FaultEvent:
-    """One recovery-layer incident, published to fault listeners.
+    """One recovery-layer incident, published to the call's :func:`call_scope`.
 
     ``kind`` is one of ``transient``, ``timeout``, ``permanent``,
     ``retry``, ``circuit-trip``, ``circuit-fast-fail``, ``garbled``,
@@ -105,15 +108,39 @@ class FaultEvent:
 # Callback fired for every FaultEvent (isolated: its own crashes are dropped).
 FaultListener = Callable[[FaultEvent], None]
 
+# The callbacks of the innermost open call_scope in the current context.
+_CALL_SCOPE: ContextVar[tuple[UsageListener | None, FaultListener | None]] = ContextVar(
+    "llm_call_scope", default=(None, None)
+)
+
+
+@contextmanager
+def call_scope(
+    on_usage: UsageListener | None = None, on_fault: FaultListener | None = None
+) -> Iterator[None]:
+    """Hand the events of every call made in this context to the callbacks.
+
+    Covers calls from any client, here and in worker threads that run in
+    a copy of this context; an inner scope replaces the outer one until
+    it closes.  A crashing ``on_usage`` is counted in
+    ``resilience_metrics().listener_errors``; a crashing ``on_fault`` is
+    dropped.
+    """
+    token = _CALL_SCOPE.set((on_usage, on_fault))
+    try:
+        yield
+    finally:
+        _CALL_SCOPE.reset(token)
+
 
 class LLMClient:
     """Routes prompts to the engine; tracks usage per model.
 
-    Observers (the pipeline's telemetry layer, cost dashboards, tests) can
-    subscribe to every completion via :meth:`add_usage_listener`; listeners
-    are invoked synchronously after accounting, under no lock, with
-    ``(model_name, usage, call_id)``.  A crashing listener is isolated —
-    the completion still returns, and the crash is counted in
+    Observers (the pipeline's telemetry layer, cost dashboards, tests) see
+    the calls made inside a :func:`call_scope`; its callbacks are invoked
+    synchronously after accounting, under no lock, with
+    ``(model_name, usage, call_id)``.  A crashing usage callback is
+    isolated — the completion still returns, and the crash is counted in
     ``resilience_metrics().listener_errors``.  Accounting itself is guarded
     by a lock because stages fan completions out across threads.
 
@@ -144,39 +171,9 @@ class LLMClient:
         self._sleep = sleep if sleep is not None else time.sleep
         self.usage_by_model: dict[str, Usage] = {}
         self._usage_lock = threading.Lock()
-        self._usage_listeners: list[UsageListener] = []
-        self._fault_listeners: list[FaultListener] = []
         self._fault_counts: dict[str, int] = {}
 
-    # -- usage observation -------------------------------------------------
-
-    def add_usage_listener(self, listener: UsageListener) -> None:
-        """Subscribe ``listener`` to every subsequent completion."""
-        with self._usage_lock:
-            self._usage_listeners.append(listener)
-
-    def remove_usage_listener(self, listener: UsageListener) -> None:
-        """Unsubscribe a previously-added listener (no-op if absent)."""
-        with self._usage_lock:
-            try:
-                self._usage_listeners.remove(listener)
-            except ValueError:
-                pass
-
     # -- fault observation -------------------------------------------------
-
-    def add_fault_listener(self, listener: FaultListener) -> None:
-        """Subscribe ``listener`` to every recovery-layer incident."""
-        with self._usage_lock:
-            self._fault_listeners.append(listener)
-
-    def remove_fault_listener(self, listener: FaultListener) -> None:
-        """Unsubscribe a previously-added fault listener (no-op if absent)."""
-        with self._usage_lock:
-            try:
-                self._fault_listeners.remove(listener)
-            except ValueError:
-                pass
 
     def resilience_metrics(self) -> ResilienceMetrics:
         """Immutable snapshot of the recovery/fault counters."""
@@ -185,13 +182,13 @@ class LLMClient:
         return ResilienceMetrics(**counts)
 
     def _note_fault(self, counter: str, event: FaultEvent) -> None:
-        """Count one incident and publish it; listener crashes are dropped."""
+        """Count one incident and publish it to the call's scope (crashes dropped)."""
         with self._usage_lock:
             self._fault_counts[counter] = self._fault_counts.get(counter, 0) + 1
-            listeners = list(self._fault_listeners)
-        for listener in listeners:
+        on_fault = _CALL_SCOPE.get()[1]
+        if on_fault is not None:
             try:
-                listener(event)
+                on_fault(event)
             except Exception:  # noqa: BLE001 - observers must never break recovery
                 pass
 
@@ -294,7 +291,7 @@ class LLMClient:
         truncated: bool,
         visible_tokens: int,
     ) -> Completion:
-        """Book usage for a successful attempt and notify usage listeners."""
+        """Book usage for a successful attempt and publish it to the call's scope."""
         out_tokens = approx_tokens(response)
         usage = Usage(
             prompt_tokens=visible_tokens,
@@ -308,10 +305,10 @@ class LLMClient:
         )
         with self._usage_lock:
             self.usage_by_model.setdefault(profile.name, Usage()).add(usage)
-            listeners = list(self._usage_listeners)
-        for listener in listeners:
+        on_usage = _CALL_SCOPE.get()[0]
+        if on_usage is not None:
             try:
-                listener(profile.name, usage, call_id)
+                on_usage(profile.name, usage, call_id)
             except Exception as exc:  # noqa: BLE001 - observers must never abort completions
                 self._note_fault(
                     "listener_errors",

@@ -97,6 +97,11 @@ class SeriesDiagnosticTool:
     def name(self) -> str:
         return "series"
 
+    @property
+    def config(self) -> object:
+        """The wrapped tool's settings (None if it has none): what keys its reports."""
+        return getattr(self._inner, "config", None)
+
     def usage(self) -> Usage:
         return self._inner.usage()
 

@@ -3,7 +3,7 @@
 :class:`FaultyLLMClient` subclasses :class:`~repro.llm.client.LLMClient`
 and overrides its :meth:`~repro.llm.client.LLMClient._attempt` hook — the
 single point where a physical call is placed — so everything above it
-(retry loop, circuit breaker, accounting, listeners) is *exactly* the
+(retry loop, circuit breaker, accounting, call scopes) is *exactly* the
 production code path.  Which calls fail, how deeply, and how completions
 are garbled all derive from the plan's seed via ``rng_for``, never from
 call order or wall clock, so a chaos run replays byte-identically.

@@ -13,8 +13,8 @@ All three classes are backend-agnostic and deterministic:
   which is what the chaos gate pins;
 * :class:`ResilienceMetrics` — the counter block every
   :class:`~repro.llm.client.LLMClient` maintains (retries, trips,
-  injected faults, isolated listener crashes), snapshotted by the service
-  layer and asserted by the chaos gate.
+  injected faults, isolated usage-callback crashes), snapshotted by the
+  service layer and asserted by the chaos gate.
 """
 
 from __future__ import annotations

@@ -21,9 +21,9 @@ request path:
   ``wall_clock=True``), a queue-depth histogram sampled at every enqueue,
   and the request-accounting counters, exported as one
   :class:`~repro.serve.metrics.ServeSnapshot`;
-* **stage totals** — the same per-run collector feeds per-stage
-  :class:`~repro.core.service.StageMetrics` over the server's lifetime
-  (:meth:`DiagnosisServer.stage_metrics`).
+* **stage totals** — each run's per-stage record (returned by
+  :meth:`~repro.core.service.DiagnosisService.execute`) feeds the histograms
+  and the lifetime totals (:meth:`DiagnosisServer.stage_metrics`).
 
 Every result a caller receives is relabeled with *its* requested
 ``trace_id`` — coalescing and caching are invisible to response content.
@@ -37,11 +37,11 @@ from collections import deque
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.pipeline import PipelineContext, PipelineObserver
+from repro.core.pipeline import StageMetrics
 from repro.core.report import DiagnosisReport
-from repro.core.service import DiagnosisService, StageMetrics
+from repro.core.service import DiagnosisService
 from repro.darshan.log import DarshanLog
-from repro.llm.client import FaultEvent, Usage
+from repro.llm.client import Usage
 from repro.serve.metrics import (
     LATENCY_BUCKET_BOUNDS,
     QUEUE_DEPTH_BUCKET_BOUNDS,
@@ -137,31 +137,6 @@ class PendingDiagnosis:
         if report.trace_id != self.trace_id:
             report = replace(report, trace_id=self.trace_id)
         return report
-
-
-class _MetricsCollector(PipelineObserver):
-    """Per-run collector: stage -> accumulated time, usage and faults."""
-
-    def __init__(self) -> None:
-        self.stages: dict[str, StageMetrics] = {}
-        self._lock = threading.Lock()
-
-    def _metrics(self, stage: str) -> StageMetrics:
-        return self.stages.setdefault(stage, StageMetrics())
-
-    def on_stage_end(self, stage: str, ctx: PipelineContext, seconds: float) -> None:
-        with self._lock:
-            self._metrics(stage).add_time(seconds)
-
-    def on_llm_call(
-        self, stage: str, ctx: PipelineContext, model: str, usage: Usage, call_id: str
-    ) -> None:
-        with self._lock:
-            self._metrics(stage).add_usage(usage)
-
-    def on_fault_event(self, stage: str, ctx: PipelineContext, event: FaultEvent) -> None:
-        with self._lock:
-            self._metrics(stage).add_fault(event.kind)
 
 
 class DiagnosisServer:
@@ -333,16 +308,16 @@ class DiagnosisServer:
                     return
                 entry = self._queue.popleft()
                 self._active += 1
-            collector = _MetricsCollector()
             report: DiagnosisReport | None = None
+            stages: dict[str, StageMetrics] = {}
             error: BaseException | None = None
             try:
-                report = self.service.execute(
-                    entry.key, entry.log, trace_id=entry.key[0][:12], observers=(collector,)
+                report, stages = self.service.execute(
+                    entry.key, entry.log, trace_id=entry.key[0][:12]
                 )
             except BaseException as exc:  # noqa: BLE001 - delivered to every waiter
                 error = exc
-            self._record_run(collector, report, error)
+            self._record_run(stages, report, error)
             self._finish(entry, report, error)
 
     def _finish(
@@ -356,7 +331,7 @@ class DiagnosisServer:
 
     def _record_run(
         self,
-        collector: _MetricsCollector,
+        stages: dict[str, StageMetrics],
         report: DiagnosisReport | None,
         error: BaseException | None,
     ) -> None:
@@ -367,10 +342,10 @@ class DiagnosisServer:
             # Mirrors the service's persistence rule: clean results only.
             if self.service.store is not None and report is not None and not report.degraded:
                 self.counters.store_writes += 1
-            for stage, metrics in collector.stages.items():
+            for stage, metrics in stages.items():
                 self._stage_totals.setdefault(stage, StageMetrics()).merge(metrics)
         total = 0.0
-        for stage, metrics in sorted(collector.stages.items()):
+        for stage, metrics in sorted(stages.items()):
             if self.wall_clock:
                 seconds = metrics.seconds
             else:
@@ -383,8 +358,8 @@ class DiagnosisServer:
             total += seconds
             hist = self._stage_hist(stage)
             hist.observe(seconds)
-        if not collector.stages and not self.wall_clock:
-            # Tools without pipeline observers still cost the model floor.
+        if not stages and not self.wall_clock:
+            # Tools without stages (and failed runs) still cost the model floor.
             total = self.latency_model.base_seconds
         self._request_hist.observe(total)
 

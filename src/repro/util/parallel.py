@@ -6,11 +6,14 @@ sources" (§IV).  This helper provides that concurrency with thread pools
 (the work units are pure-Python prompt evaluations, so threads suffice and
 keep everything in-process and deterministic) while preserving input order
 in the output, which the merger relies on.
+Each item runs in a copy of the caller's :mod:`contextvars` context, so a
+pipeline run's :func:`~repro.llm.client.call_scope` reaches the pool threads.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -34,5 +37,7 @@ def parallel_map(
     seq: Sequence[T] = list(items)
     if max_workers == 1 or len(seq) <= 1:
         return [fn(item) for item in seq]
+    # Copied per item: two threads cannot enter one Context at once.
+    context = copy_context()
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, seq))
+        return list(pool.map(lambda item: context.copy().run(fn, item), seq))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import given
@@ -220,6 +221,28 @@ class TestTextRoundTrip:
     def test_parser_requires_header(self):
         with pytest.raises(DarshanParseError):
             parse_darshan_text("# exe: /bin/x\n")
+
+    @pytest.mark.parametrize(
+        "field, bad", [("nprocs", "four"), ("uid", "1001x"), ("run time", ""), ("jobid", "1.5")]
+    )
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_malformed_header_value_names_the_field(self, sb01_trace, field, bad, lenient):
+        text = render_darshan_text(sb01_trace.log)
+        damaged = re.sub(rf"^# {field}: .*$", f"# {field}: {bad}", text, count=1, flags=re.M)
+        assert damaged != text
+        with pytest.raises(DarshanParseError, match=f"header field '{field}'"):
+            parse_darshan_text(damaged, lenient=lenient)
+
+    def test_header_cut_at_any_offset_yields_a_log_or_a_typed_error(self, sb01_trace):
+        text = render_darshan_text(sb01_trace.log)
+        header_end = text.index("\nPOSIX\t")
+        for lenient in (False, True):
+            for cut in range(header_end + 1):
+                try:
+                    log = parse_darshan_text(text[:cut], lenient=lenient)
+                except DarshanParseError:
+                    continue
+                assert log.header.exe == sb01_trace.log.header.exe
 
     def test_parser_tolerates_comments_and_blanks(self, sb01_trace):
         text = render_darshan_text(sb01_trace.log)

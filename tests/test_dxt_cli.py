@@ -138,6 +138,21 @@ class TestCli:
         assert main(["diagnose", trace_file, "--no-rag"]) == 0
         assert "References:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["diagnose", "drishti", "chat", "series", "serve"])
+    def test_malformed_trace_file_exits_2(self, trace_file, tmp_path, capsys, command):
+        bad = tmp_path / "bad.darshan.txt"
+        text = open(trace_file, encoding="utf-8").read()
+        bad.write_text(text.replace("# nprocs: 4\n", "# nprocs: four\n"), encoding="utf-8")
+        argv = [command, str(bad)] + ([str(bad)] if command == "series" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: header field 'nprocs': invalid value 'four'\n"
+
+    def test_missing_trace_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["diagnose", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
     def test_drishti_command(self, trace_file, capsys):
         assert main(["drishti", trace_file]) == 0
         assert "DRISHTI" in capsys.readouterr().out

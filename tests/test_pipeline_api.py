@@ -24,7 +24,7 @@ from repro.core.registry import (
 )
 from repro.core.report import DiagnosisReport
 from repro.core.service import DiagnosisService, trace_digest
-from repro.llm.client import LLMClient, Usage
+from repro.llm.client import LLMClient, Usage, call_scope
 from repro.rag.index import build_default_index, default_index_builds
 
 # sha256 of DiagnosisReport.text for sb01-small-writes, default config,
@@ -78,8 +78,8 @@ class TestPipeline:
         kinds = [e[0] for e in obs.events]
         assert kinds == ["start", "end"] * len(DEFAULT_STAGE_ORDER)
         # Per-stage telemetry was populated.
-        assert set(ctx.stage_seconds) == set(DEFAULT_STAGE_ORDER)
-        assert all(t >= 0.0 for t in ctx.stage_seconds.values())
+        assert set(ctx.stage_metrics) == set(DEFAULT_STAGE_ORDER)
+        assert all(m.seconds >= 0.0 for m in ctx.stage_metrics.values())
 
     def test_llm_calls_attributed_to_stages(self, sb01_trace):
         obs = RecordingObserver()
@@ -90,11 +90,8 @@ class TestPipeline:
         assert {"describe", "diagnose", "merge"} <= stages_with_llm
         assert "preprocess" not in stages_with_llm
         assert "summarize" not in stages_with_llm
-        # ctx.stage_usage agrees with the client's total accounting.
-        total = Usage()
-        for usage in ctx.stage_usage.values():
-            total.add(usage)
-        assert total.calls == agent.client.total_usage().calls
+        # ctx.stage_metrics agrees with the client's total accounting.
+        assert sum(m.calls for m in ctx.stage_metrics.values()) == agent.client.total_usage().calls
 
     def test_context_products_feed_report(self, sb01_trace):
         agent = IOAgent(IOAgentConfig(seed=0))
@@ -232,10 +229,8 @@ class TestUsageListener:
         seen: list[tuple[str, str]] = []
         def listener(model, usage, call_id):
             seen.append((model, call_id))
-        client.add_usage_listener(listener)
-        client.complete("TASK: plain\nhello", model="gpt-4o", call_id="x1")
+        with call_scope(on_usage=listener):
+            client.complete("TASK: plain\nhello", model="gpt-4o", call_id="x1")
         assert seen == [("gpt-4o", "x1")]
-        client.remove_usage_listener(listener)
         client.complete("TASK: plain\nhello", model="gpt-4o", call_id="x2")
         assert seen == [("gpt-4o", "x1")]
-        client.remove_usage_listener(listener)  # double-remove is a no-op

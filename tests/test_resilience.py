@@ -7,7 +7,7 @@ import pytest
 from repro.core.agent import IOAgent, IOAgentConfig
 from repro.core.batch import diagnose_batch
 from repro.core.service import DiagnosisService
-from repro.llm.client import LLMClient
+from repro.llm.client import LLMClient, call_scope
 from repro.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -192,16 +192,18 @@ class TestListenerIsolation:
     def test_crashing_usage_listener_does_not_abort_completion(self):
         client = LLMClient(seed=0)
         seen: list[str] = []
+        faults: list[str] = []
 
         def bad_listener(model: str, usage, call_id: str) -> None:
+            seen.append(call_id)
             raise RuntimeError("observer bug")
 
-        client.add_usage_listener(bad_listener)
-        client.add_usage_listener(lambda model, usage, call_id: seen.append(call_id))
-        out = client.complete("TASK: plain\nhello", model="gpt-4o", call_id="c1")
+        with call_scope(bad_listener, lambda event: faults.append(event.kind)):
+            out = client.complete("TASK: plain\nhello", model="gpt-4o", call_id="c1")
         assert out.text  # the completion survived the observer crash
-        assert seen == ["c1"]  # later listeners still ran
+        assert seen == ["c1"]  # the listener ran up to its crash
         assert client.resilience_metrics().listener_errors == 1
+        assert faults == ["listener-error"]  # the crash is published to the scope
 
     def test_crashing_fault_listener_does_not_break_recovery(self):
         plan = FaultPlan(name="t", specs=(always("llm-transient", param=1),))
@@ -210,8 +212,8 @@ class TestListenerIsolation:
         def bad_listener(event) -> None:
             raise RuntimeError("observer bug")
 
-        client.add_fault_listener(bad_listener)
-        out = client.complete("TASK: plain\nhello", model="gpt-4o", call_id="c1")
+        with call_scope(on_fault=bad_listener):
+            out = client.complete("TASK: plain\nhello", model="gpt-4o", call_id="c1")
         assert out.text
         assert client.resilience_metrics().transient_errors >= 1
 

@@ -22,12 +22,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines import IONTool
 from repro.core.agent import IOAgent, IOAgentConfig
 from repro.core.batch import diagnose_batch
-from repro.core.pipeline import PipelineContext
+from repro.core.pipeline import PipelineContext, StageMetrics
 from repro.core.registry import ToolNotFoundError
 from repro.core.service import DiagnosisService, ServiceStats
-from repro.llm.client import FaultEvent, LLMClient, Usage
+from repro.llm.client import LLMClient, Usage
+from repro.regression.series import SeriesDiagnosticTool
 from repro.resilience import (
     CircuitBreaker,
     FaultPlanNotFoundError,
@@ -517,6 +519,55 @@ class TestOneContentKeyPerRequest:
         assert len(service.keys) == 1
 
 
+# -- a tool instance is keyed by its own settings ---------------------------
+
+
+class TestToolSettingsKeyResults:
+    """Two instances of one tool with different settings never share an entry."""
+
+    @pytest.mark.parametrize(
+        "make_tool",
+        [IONTool, lambda model: SeriesDiagnosticTool(inner="ion", model=model)],
+        ids=["ion", "series"],
+    )
+    def test_models_on_one_store_keep_separate_entries(self, tmp_path, sb01_trace, make_tool):
+        for model in ("llama-3.1-70b", "gpt-4o"):
+            service = DiagnosisService(tool=make_tool(model=model), store=str(tmp_path))
+            report = service.diagnose(sb01_trace.log, trace_id=sb01_trace.trace_id)
+            assert report.model == model
+            assert service.stats().store_hits == 0 and service.stats().usage.calls == 1
+        assert len(ResultStore(tmp_path)) == 2
+
+    def test_every_registered_tool_keys_sb01_alike_in_a_fresh_process(self, sb01_trace):
+        script = textwrap.dedent(
+            """
+            import json
+            from repro.core.registry import available_tools
+            from repro.core.service import DiagnosisService
+            from repro.tracebench.build import build_trace
+            from repro.tracebench.spec import TRACE_SPECS
+
+            spec = next(s for s in TRACE_SPECS if s.trace_id == "sb01-small-writes")
+            log = build_trace(spec, seed=0).log
+            keys = {n: DiagnosisService(tool=n).cache_key(log) for n in available_tools()}
+            print(json.dumps(keys))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fresh = json.loads(proc.stdout)
+        assert {"drishti", "ioagent", "ion", "series"} <= set(fresh)
+        here = {n: list(DiagnosisService(tool=n).cache_key(sb01_trace.log)) for n in fresh}
+        assert here == fresh
+
+
 # -- batches are served; the server's stage totals -------------------------
 
 
@@ -534,12 +585,8 @@ class _ManyStageTool:
         ctx = PipelineContext(
             log=log, trace_id=trace_id, config=IOAgentConfig(), client=self.client
         )
-        for obs in observers:
-            for i in range(self.STAGES):
-                stage, call_id = f"s{i}", f"{trace_id}/{i}"
-                obs.on_llm_call(stage, ctx, "gpt-4o", Usage(calls=1), call_id)
-                obs.on_fault_event(stage, ctx, FaultEvent("retry", call_id, "gpt-4o"))
-                obs.on_stage_end(stage, ctx, 0.001)
+        for i in range(self.STAGES):
+            ctx.stage_metrics[f"s{i}"] = StageMetrics(seconds=0.001, calls=1, faults={"retry": 1})
         return ctx
 
     def diagnose(self, log, trace_id="trace"):

@@ -202,7 +202,7 @@ class TestTemporalStage:
         agent = IOAgent(IOAgentConfig(seed=0))
         ctx = agent.run(log, trace_id="t")
         assert "DXT.timeline" not in [f.fragment_id for f in ctx.fragments]
-        assert "temporal" in ctx.stage_seconds  # the stage ran, found nothing
+        assert "temporal" in ctx.stage_metrics  # the stage ran, found nothing
 
     def test_temporal_findings_reach_the_report(self, temporal_traces):
         report = IOAgent(IOAgentConfig(seed=0)).diagnose(

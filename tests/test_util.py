@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -118,6 +120,24 @@ class TestParallel:
 
         with pytest.raises(RuntimeError):
             parallel_map(boom, [1, 2, 3])
+
+    @pytest.mark.parametrize("max_workers", [1, 4])
+    def test_items_see_the_callers_context(self, max_workers):
+        var: ContextVar[str] = ContextVar("test_parallel_scope", default="unset")
+
+        def inner(i: int) -> str:
+            return var.get()
+
+        def outer(i: int) -> tuple[str, list[str]]:
+            return var.get(), parallel_map(inner, range(3), max_workers=max_workers)
+
+        token = var.set("caller")
+        try:
+            out = parallel_map(outer, range(8), max_workers=max_workers)
+        finally:
+            var.reset(token)
+        assert out == [("caller", ["caller"] * 3)] * 8
+        assert var.get() == "unset"
 
 
 class TestText:
