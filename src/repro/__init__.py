@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "4.0.0"  # major: LLMClient listeners -> call_scope; execute returns the record
+__version__ = "5.0.0"  # major: IOAgentConfig.max_workers and the --max-workers flags removed
 
 __all__ = [
     # tools

@@ -1,6 +1,6 @@
 """AST convention rules that ruff's generic rule set cannot express.
 
-Three repo-specific rules, each scanning ``ctx.src_root``:
+Four repo-specific rules, each scanning ``ctx.src_root``:
 
 * ``unseeded-random`` — stochastic code must draw from a seeded generator
   (``util.rng.derive_seed`` feeding ``numpy.random.default_rng``); the
@@ -12,6 +12,10 @@ Three repo-specific rules, each scanning ``ctx.src_root``:
   scalar ``dxt_reference`` module (it is the spec oracle, not a fast path).
 * ``service-locked-mutation`` — ``DiagnosisService`` cache state may only
   be mutated under ``self._cache_lock`` (outside ``__init__``).
+* ``threads-in-serve`` — threads start only in ``repro/serve/``: a
+  ``threading.Thread``/``Timer`` call or import, ``concurrent.futures`` or
+  ``multiprocessing`` anywhere else is flagged, so the server's worker
+  pool stays the one concurrency knob.
 
 Rules point at exact file:line positions.  They deliberately run on the
 *source tree path* (not imported modules) so tests can aim them at
@@ -32,6 +36,7 @@ __all__ = [
     "check_unseeded_random",
     "check_segtable_private",
     "check_service_locked_mutation",
+    "check_threads_in_serve",
 ]
 
 # numpy.random attributes that are fine: constructing an explicitly seeded
@@ -369,4 +374,65 @@ def check_service_locked_mutation(ctx: CheckContext) -> list[Diagnostic]:
                 for stmt in item.body:
                     visitor.visit(stmt)
                 out.extend(visitor.diagnostics)
+    return out
+
+
+# Qualified names that start threads or processes (a module covers its members).
+_THREAD_STARTS = ("threading.Thread", "threading.Timer", "concurrent.futures", "multiprocessing")
+
+
+def _thread_start(node: ast.AST, threading_names: set[str]) -> str | None:
+    """The thread-starting name ``node`` imports or calls, or None."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in threading_names
+    ):
+        names = [f"threading.{node.func.attr}"]
+    else:
+        return None
+    for name in names:
+        if any(name == s or name.startswith(s + ".") for s in _THREAD_STARTS):
+            return name
+    return None
+
+
+@register_check(
+    "threads-in-serve",
+    description="threads, thread pools and processes start only in repro/serve/",
+    tags=("lint", "concurrency"),
+)
+def check_threads_in_serve(ctx: CheckContext) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
+    for path, rel in _iter_py_files(ctx.src_root):
+        if "repro/serve/" in rel:
+            continue
+        tree = _parse(path, rel, "threads-in-serve")
+        if isinstance(tree, Diagnostic):
+            out.append(tree)
+            continue
+        threading_names = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "threading"
+        }
+        for node in ast.walk(tree):
+            name = _thread_start(node, threading_names)
+            if name is not None:
+                out.append(
+                    error(
+                        "threads-in-serve",
+                        f"{name} outside repro/serve/: run the work in order; "
+                        f"the server's worker pool is the one concurrency knob",
+                        file=rel,
+                        line=getattr(node, "lineno", None),
+                    )
+                )
     return out

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.baselines.drishti.triggers import run_triggers
 from repro.core.registry import register_tool
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
 from repro.llm.client import Usage
 
-__all__ = ["DrishtiTool"]
+__all__ = ["DrishtiConfig", "DrishtiTool"]
 
 _LEVEL_MARK = {"HIGH": "▶ HIGH", "WARN": "▶ WARN", "OK": "✓ OK  ", "INFO": "i INFO"}
 _LEVEL_ORDER = {"HIGH": 0, "WARN": 1, "INFO": 2, "OK": 3}
+
+
+@dataclass(frozen=True)
+class DrishtiConfig:
+    """What a Drishti report depends on; its ``repr`` keys cached results."""
+
+    include_ok: bool = False
 
 
 class DrishtiTool:
@@ -21,12 +30,12 @@ class DrishtiTool:
     name = "drishti"
 
     def __init__(self, include_ok: bool = False) -> None:
-        self.include_ok = include_ok
+        self.config = DrishtiConfig(include_ok=include_ok)
 
     def render_insights(self, log: DarshanLog) -> str:
         """Produce the insight-report text for one Darshan log."""
         results = run_triggers(log)
-        if not self.include_ok:
+        if not self.config.include_ok:
             results = [r for r in results if r.level != "OK"]
         results.sort(key=lambda r: _LEVEL_ORDER.get(r.level, 9))
         lines = [

@@ -102,17 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p = add_trace_cmd(tool_name, f"run the {tool_name} diagnosis tool")
         p.add_argument("--model", default="gpt-4o", help="LLM backbone (ignored by heuristic tools)")
-        p.add_argument(
-            "--max-workers",
-            type=int,
-            default=None,
-            help="thread-pool width for per-fragment parallelism",
-        )
         p.set_defaults(func=_cmd_tool, tool_name=tool_name)
 
     p = add_trace_cmd("chat", "diagnose, then answer questions interactively")
     p.add_argument("--model", default="gpt-4o")
-    p.add_argument("--max-workers", type=int, default=None)
     p.set_defaults(func=_cmd_chat)
 
     tb = sub.add_parser("tracebench", help="TraceBench suite operations")
@@ -162,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     se.add_argument("--inner", default="ioagent", help="single-trace tool to wrap")
     se.add_argument("--model", default="gpt-4o")
-    se.add_argument("--max-workers", type=int, default=None)
     se.set_defaults(func=_cmd_series)
 
     sv = sub.add_parser(
@@ -281,12 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per-difficulty accuracy split.",
     )
     ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="thread-pool width for the LLM tools under evaluation",
-    )
     ev.set_defaults(func=_cmd_evaluate)
     return parser
 
@@ -311,8 +297,6 @@ def _cmd_tool(args) -> int:
     from repro.core.registry import get_tool
 
     kwargs: dict = {"seed": args.seed, "model": args.model}
-    if args.max_workers is not None:
-        kwargs["max_workers"] = args.max_workers
     if args.tool_name == "ioagent":
         kwargs["use_rag"] = not args.no_rag
         kwargs["merge_strategy"] = args.merge
@@ -327,7 +311,7 @@ def _cmd_chat(args) -> int:
     from repro.core.session import InteractiveSession
 
     log = _load_log(args.trace)
-    config = IOAgentConfig(model=args.model, seed=args.seed, max_workers=args.max_workers)
+    config = IOAgentConfig(model=args.model, seed=args.seed)
     agent = IOAgent(config)
     report = agent.diagnose(log, trace_id=args.trace)
     print(report.render())
@@ -392,16 +376,14 @@ def _cmd_series(args) -> int:
         )
         return 2
 
-    kwargs: dict = {"seed": args.seed, "model": args.model}
-    if args.max_workers is not None:
-        kwargs["max_workers"] = args.max_workers
     try:
         tool = get_tool(
             "series",
             inner=args.inner,
             baseline_runs=baseline_runs,
             threshold=threshold,
-            **kwargs,
+            seed=args.seed,
+            model=args.model,
         )
         result = tool.diagnose_series(logs, series_id=series_id, trace_ids=trace_ids)
     except ToolNotFoundError as exc:  # --inner named an unregistered tool
@@ -519,7 +501,7 @@ def _cmd_evaluate(args) -> int:
         have = {t.trace_id for t in selected}
         selected.extend(suite().get(t) for t in wanted if t not in have)
     bench = TraceBench(traces=selected, seed=args.seed) if selected else suite()
-    tools = default_tools(seed=args.seed, max_workers=args.max_workers)
+    tools = default_tools(seed=args.seed)
     result = evaluate_tools(
         bench, tools=tools, progress=lambda msg: print(f"  {msg}", file=sys.stderr)
     )

@@ -4,7 +4,7 @@ Pipeline per trace (each step a :class:`repro.core.pipeline.Stage`):
 
 1. split the Darshan log by module (pre-processor);
 2. extract categorized JSON summary fragments (Table I);
-3. describe every fragment (JSON → NL), fragments in parallel;
+3. describe every fragment (JSON → NL), one fragment after another;
 4. retrieve top-15 knowledge chunks per fragment and self-reflect-filter
    them (skipped entirely when ``use_rag=False``);
 5. diagnose every fragment from its description + surviving knowledge;
@@ -56,7 +56,6 @@ class IOAgentConfig:
     use_dxt: bool = True
     merge_strategy: str = "tree"  # 'tree' | 'one-step'
     top_k: int = 15
-    max_workers: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -15,7 +15,7 @@ uniformly (``get_tool("ioagent", model="llama-3.1-70b")``) and discovery
 is programmatic (``available_tools()`` drives the CLI subcommands and
 ``--list-tools``).  Factories receive only the keyword arguments their
 signature accepts, so generic callers can offer common knobs (``seed``,
-``model``, ``max_workers``) without every tool having to take them.
+``model``) without every tool having to take them.
 """
 
 from __future__ import annotations

@@ -21,8 +21,10 @@ LLMs for metadata retrieval".
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "SummaryFragment",
     "SUMMARY_COVERAGE",
     "extract_fragments",
+    "extractor_source",
     "app_context_facts",
 ]
 
@@ -554,6 +557,12 @@ def app_context_facts(log: DarshanLog) -> list[Fact]:
     ]
 
 
+@functools.cache
+def extractor_source(fn: Callable[..., object]) -> str:
+    """An extraction function's source text (a fragment's ``code``), read once."""
+    return inspect.getsource(fn)
+
+
 def extract_fragments(log: DarshanLog) -> list[SummaryFragment]:
     """Run every applicable extraction function (Table I coverage)."""
     fragments: list[SummaryFragment] = []
@@ -570,7 +579,7 @@ def extract_fragments(log: DarshanLog) -> list[SummaryFragment]:
                     module=module,
                     category=category,
                     facts=tuple(facts),
-                    code=inspect.getsource(fn),
+                    code=extractor_source(fn),
                 )
             )
     return fragments

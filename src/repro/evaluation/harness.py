@@ -39,13 +39,13 @@ SOURCE_TITLES = {
 }
 
 
-def default_tools(seed: int = 0, max_workers: int | None = None) -> list[DiagnosticTool]:
+def default_tools(seed: int = 0) -> list[DiagnosticTool]:
     """The paper's four Table IV rows, resolved from the registry."""
     return [
         get_tool("drishti"),
         get_tool("ion", model="gpt-4o", seed=seed),
-        get_tool("ioagent", model="gpt-4o", seed=seed, max_workers=max_workers),
-        get_tool("ioagent", model="llama-3.1-70b", seed=seed, max_workers=max_workers),
+        get_tool("ioagent", model="gpt-4o", seed=seed),
+        get_tool("ioagent", model="llama-3.1-70b", seed=seed),
     ]
 
 

@@ -142,7 +142,7 @@ class LLMClient:
     ``(model_name, usage, call_id)``.  A crashing usage callback is
     isolated — the completion still returns, and the crash is counted in
     ``resilience_metrics().listener_errors``.  Accounting itself is guarded
-    by a lock because stages fan completions out across threads.
+    by a lock because the server's worker threads share one client.
 
     ``retry_policy`` governs transient-failure recovery; the default base
     client never fails (the sim engine is deterministic), so the policy

@@ -9,10 +9,11 @@ and stage-crash wrapping), and diagnose through a real
 :class:`~repro.core.service.DiagnosisService` — the same facade a
 deployment uses, so cache behavior is exercised too.
 
-Everything is serial (``max_workers=1``) and seeded, so the resulting
-:class:`ChaosReport` is byte-identical across processes for the same
-``(plans, scenarios, seed)`` — :func:`chaos_report_digest` is the
-fingerprint the chaos gate compares across a subprocess re-run.
+Scenarios are diagnosed one after another on the calling thread and every
+call is seeded, so the resulting :class:`ChaosReport` is byte-identical
+across processes for the same ``(plans, scenarios, seed)`` —
+:func:`chaos_report_digest` is the fingerprint the chaos gate compares
+across a subprocess re-run.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _build_faulty_service(plan: FaultPlan, seed: int):
     from repro.core.pipeline import DiagnosisPipeline, build_default_pipeline
     from repro.core.service import DiagnosisService
 
-    config = IOAgentConfig(max_workers=1, seed=seed)
+    config = IOAgentConfig(seed=seed)
     client = FaultyLLMClient(
         plan,
         seed=seed,

@@ -2,13 +2,10 @@
 
 The helpers here are deliberately small and dependency-free (NumPy only):
 seeded random-number streams (:mod:`repro.util.rng`), byte/unit formatting
-(:mod:`repro.util.units`), text helpers (:mod:`repro.util.text`), histogram
-and distribution statistics (:mod:`repro.util.stats`), and a deterministic
-parallel map (:mod:`repro.util.parallel`) used by the tree merger and the
-self-reflection filter, mirroring the paper's per-level parallelism.
+(:mod:`repro.util.units`), text helpers (:mod:`repro.util.text`), and histogram
+and distribution statistics (:mod:`repro.util.stats`).
 """
 
-from repro.util.parallel import parallel_map
 from repro.util.rng import derive_seed, rng_for
 from repro.util.stats import gini, normalized_variance, weighted_percentile
 from repro.util.units import format_bytes, format_count, format_duration, parse_bytes
@@ -16,7 +13,6 @@ from repro.util.units import format_bytes, format_count, format_duration, parse_
 __all__ = [
     "derive_seed",
     "rng_for",
-    "parallel_map",
     "format_bytes",
     "format_count",
     "format_duration",

@@ -52,6 +52,7 @@ EXPECTED_CHECKS = {
     "unseeded-random",
     "segtable-private",
     "service-locked-mutation",
+    "threads-in-serve",
 }
 
 
@@ -431,10 +432,49 @@ class TestLintRules:
         assert lines == [12, 13, 14]
         assert all("_cache_lock" in d.message for d in diags)
 
+    def test_threads_in_serve_violations(
+        self, repo_ctx: CheckContext, tmp_path: Path
+    ) -> None:
+        ctx = _lint_ctx(
+            repo_ctx,
+            tmp_path,
+            {
+                "core/bad.py": """\
+                import threading
+                from concurrent.futures import ThreadPoolExecutor
+                import multiprocessing as mp
+                from threading import Thread as T
+
+                threading.Thread(target=print).start()
+                """,
+                "serve/pool.py": """\
+                import threading
+                from concurrent.futures import ThreadPoolExecutor
+
+                threading.Thread(target=print).start()
+                """,
+                "core/good.py": """\
+                import threading
+
+                lock = threading.Lock()
+                """,
+            },
+        )
+        diags = run_checks(ctx, ["threads-in-serve"])["threads-in-serve"]
+        assert sorted((d.file, d.line) for d in diags) == [
+            ("src/repro/core/bad.py", line) for line in (2, 3, 4, 6)
+        ]
+        assert all("repro/serve/" in d.message for d in diags)
+
     def test_live_tree_is_lint_clean(self, repo_ctx: CheckContext) -> None:
         results = run_checks(
             repo_ctx,
-            ["unseeded-random", "segtable-private", "service-locked-mutation"],
+            [
+                "unseeded-random",
+                "segtable-private",
+                "service-locked-mutation",
+                "threads-in-serve",
+            ],
         )
         bad = [d.format() for diags in results.values() for d in diags]
         assert not bad, bad

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -13,7 +15,12 @@ from repro.core.issues import ISSUE_KEYS, ISSUES, issue_by_key
 from repro.core.merge import one_step_merge, tree_merge
 from repro.core.preprocess import split_modules, write_module_csvs
 from repro.core.session import InteractiveSession
-from repro.core.summaries import SUMMARY_COVERAGE, app_context_facts, extract_fragments
+from repro.core.summaries import (
+    SUMMARY_COVERAGE,
+    app_context_facts,
+    extract_fragments,
+    extractor_source,
+)
 from repro.llm.findings import Finding, parse_findings, render_findings
 
 
@@ -76,6 +83,22 @@ class TestSummaries:
             payload = frag.to_json()
             json.dumps(payload)  # JSON-serializable
             assert payload["module"] == frag.module
+
+    def test_each_extractor_source_is_read_once(self, sb01_trace, monkeypatch):
+        reads: Counter = Counter()
+        getsource = inspect.getsource
+
+        def counting_getsource(obj):
+            reads[obj] += 1
+            return getsource(obj)
+
+        extractor_source.cache_clear()
+        monkeypatch.setattr(inspect, "getsource", counting_getsource)
+        first = [f.code for f in extract_fragments(sb01_trace.log)]
+        second = [f.code for f in extract_fragments(sb01_trace.log)]
+        assert first == second
+        assert set(first) == {getsource(fn) for fn in reads}  # byte-identical text
+        assert reads and max(reads.values()) == 1
 
     def test_sb01_has_small_write_signal(self, sb01_trace):
         fragments = {f.fragment_id: f for f in extract_fragments(sb01_trace.log)}

@@ -210,14 +210,12 @@ class TestCli:
         assert {"ioagent", "drishti", "ion"} <= set(listed)
 
     def test_ioagent_alias_and_max_workers(self, trace_file, capsys):
-        assert main(["ioagent", trace_file, "--max-workers", "1"]) == 0
+        assert main(["ioagent", trace_file]) == 0
         assert "small_write" in capsys.readouterr().out
-
-    def test_max_workers_does_not_change_output(self, trace_file, capsys):
-        assert main(["diagnose", trace_file]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["diagnose", trace_file, "--max-workers", "1"]) == 0
-        assert capsys.readouterr().out == default_out
+        # Runs are serial; the thread-pool flag is gone.
+        with pytest.raises(SystemExit) as exc:
+            main(["ioagent", trace_file, "--max-workers", "1"])
+        assert exc.value.code == 2
 
     def test_no_command_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -151,7 +151,7 @@ class TestRegistry:
     def test_factory_kwarg_filtering(self):
         # Drishti's factory takes no model/seed; generic drivers may still
         # pass them and the registry drops what the signature rejects.
-        tool = get_tool("drishti", model="gpt-4o", seed=3, max_workers=2)
+        tool = get_tool("drishti", model="gpt-4o", seed=3)
         assert tool.name == "drishti"
 
 

@@ -219,7 +219,7 @@ class TestListenerIsolation:
 
 
 def _service(plan_name: str, **config_kwargs) -> DiagnosisService:
-    config = IOAgentConfig(max_workers=1, **config_kwargs)
+    config = IOAgentConfig(**config_kwargs)
     client = FaultyLLMClient(
         get_fault_plan(plan_name), retry_policy=RetryPolicy(), breaker=CircuitBreaker()
     )
@@ -255,7 +255,7 @@ class TestDegradation:
         )
 
     def test_clean_runs_stay_undegraded_and_cache(self, sb01_trace):
-        config = IOAgentConfig(max_workers=1)
+        config = IOAgentConfig()
         service = DiagnosisService(tool=IOAgent(config), config=config)
         report = service.diagnose(sb01_trace.log, trace_id=sb01_trace.trace_id)
         assert report.degraded == ()

@@ -1,7 +1,7 @@
 """Per-run accounting cannot bleed between concurrent runs on one client.
 
-A pipeline run owns the LLM calls made in its context (its own thread and
-the pool threads its stages fan out to), whatever the calls' ids: trace
+A pipeline run owns the LLM calls made in its context (its own thread, and
+the pool threads of a stage that fans out), whatever the calls' ids: trace
 ids are user-supplied labels, and one may be a prefix of another.
 """
 
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,14 +18,13 @@ from hypothesis import strategies as st
 from repro.core.agent import IOAgent, IOAgentConfig
 from repro.core.pipeline import DiagnosisPipeline, PipelineContext
 from repro.llm.client import LLMClient
-from repro.util.parallel import parallel_map
 
 # Trace ids that nest, share prefixes, or repeat.
 NESTING_IDS = ("a", "a/b", "a/b/c", "ab", "a/bc", "b")
 
 
 class _CallStage:
-    """Makes ``k`` cheap LLM calls through ``parallel_map``."""
+    """A custom stage that fans ``k`` cheap LLM calls out on its own pool."""
 
     name = "calls"
 
@@ -34,7 +35,11 @@ class _CallStage:
         def call(i: int) -> None:
             ctx.client.complete("TASK: plain\nhello", "gpt-4o", call_id=f"{ctx.trace_id}/{i}")
 
-        parallel_map(call, range(self.k), max_workers=4)
+        # Each item runs in a copy of the run's context, taken on this thread.
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(copy_context().run, call, i) for i in range(self.k)]
+            for future in futures:
+                future.result()
 
 
 def _run_concurrently(runs):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import IONTool
+from repro.baselines import DrishtiTool, IONTool
 from repro.core.agent import IOAgent, IOAgentConfig
 from repro.core.batch import diagnose_batch
 from repro.core.pipeline import PipelineContext, StageMetrics
@@ -60,13 +60,13 @@ SB01_X4_SNAPSHOT_SHA256 = "f3dd0c243c575265a200a140f6a08140d60395e61773ce2833ba1
 
 
 def _service(**config_kwargs) -> DiagnosisService:
-    config = IOAgentConfig(seed=0, max_workers=1, **config_kwargs)
+    config = IOAgentConfig(seed=0, **config_kwargs)
     return DiagnosisService(tool="ioagent", config=config)
 
 
 def _degraded_service(store=None) -> DiagnosisService:
     """A service whose every run loses the merge channel (degraded reports)."""
-    config = IOAgentConfig(max_workers=1)
+    config = IOAgentConfig()
     client = FaultyLLMClient(
         get_fault_plan("merge-outage"),
         retry_policy=RetryPolicy(),
@@ -244,7 +244,7 @@ class TestServiceStore:
 
         # Same config as `first`: the key is (digest, tool, config repr).
         second = DiagnosisService(
-            config=IOAgentConfig(seed=0, max_workers=1), store=str(tmp_path)
+            config=IOAgentConfig(seed=0), store=str(tmp_path)
         )
         report = second.diagnose(sb01_trace.log, trace_id="renamed")
         stats = second.stats()
@@ -258,7 +258,7 @@ class TestServiceStore:
         _svc.diagnose(sb01_trace.log, trace_id="a")
 
         second = DiagnosisService(
-            config=IOAgentConfig(seed=0, max_workers=1), store=str(tmp_path)
+            config=IOAgentConfig(seed=0), store=str(tmp_path)
         )
         second.diagnose(sb01_trace.log, trace_id="b")
         second.diagnose(sb01_trace.log, trace_id="c")
@@ -289,7 +289,7 @@ class TestServiceStore:
             spec = next(s for s in TRACE_SPECS if s.trace_id == "sb01-small-writes")
             trace = build_trace(spec, seed=0)
             service = DiagnosisService(
-                config=IOAgentConfig(seed=0, max_workers=1), store=sys.argv[1]
+                config=IOAgentConfig(seed=0), store=sys.argv[1]
             )
             report = service.diagnose(trace.log, trace_id="second-process")
             stats = service.stats()
@@ -461,7 +461,7 @@ class _KeyCountingService(DiagnosisService):
     """Counts trace digests: every cache_key call renders and hashes the log."""
 
     def __init__(self, store=None) -> None:
-        super().__init__(config=IOAgentConfig(seed=0, max_workers=1), store=store)
+        super().__init__(config=IOAgentConfig(seed=0), store=store)
         self.keys: list[tuple[str, str, str]] = []
 
     def cache_key(self, log):
@@ -536,6 +536,16 @@ class TestToolSettingsKeyResults:
             report = service.diagnose(sb01_trace.log, trace_id=sb01_trace.trace_id)
             assert report.model == model
             assert service.stats().store_hits == 0 and service.stats().usage.calls == 1
+        assert len(ResultStore(tmp_path)) == 2
+
+    def test_drishti_settings_on_one_store_keep_separate_entries(self, tmp_path, sb01_trace):
+        for include_ok in (False, True):
+            tool = DrishtiTool(include_ok=include_ok)
+            service = DiagnosisService(tool=tool, store=str(tmp_path))
+            report = service.diagnose(sb01_trace.log, trace_id=sb01_trace.trace_id)
+            assert service.stats().store_hits == 0
+            assert report.text == tool.render_insights(sb01_trace.log)
+        assert "✓ OK" in report.text
         assert len(ResultStore(tmp_path)) == 2
 
     def test_every_registered_tool_keys_sb01_alike_in_a_fresh_process(self, sb01_trace):

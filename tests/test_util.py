@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from contextvars import ContextVar
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.parallel import parallel_map
 from repro.util.rng import derive_seed, rng_for
 from repro.util.stats import gini, histogram_fractions, normalized_variance, weighted_percentile
 from repro.util.text import dedent_strip, sentence_split, simple_tokens, slugify, wrap_paragraph
@@ -104,40 +101,6 @@ class TestStats:
             assert np.allclose(fr, 0.0)
         else:
             assert fr.sum() == pytest.approx(1.0)
-
-
-class TestParallel:
-    def test_preserves_order(self):
-        out = parallel_map(lambda x: x * 2, range(10), max_workers=4)
-        assert out == [x * 2 for x in range(10)]
-
-    def test_serial_fallback(self):
-        assert parallel_map(lambda x: x + 1, [1], max_workers=1) == [2]
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2, 3])
-
-    @pytest.mark.parametrize("max_workers", [1, 4])
-    def test_items_see_the_callers_context(self, max_workers):
-        var: ContextVar[str] = ContextVar("test_parallel_scope", default="unset")
-
-        def inner(i: int) -> str:
-            return var.get()
-
-        def outer(i: int) -> tuple[str, list[str]]:
-            return var.get(), parallel_map(inner, range(3), max_workers=max_workers)
-
-        token = var.set("caller")
-        try:
-            out = parallel_map(outer, range(8), max_workers=max_workers)
-        finally:
-            var.reset(token)
-        assert out == [("caller", ["caller"] * 3)] * 8
-        assert var.get() == "unset"
 
 
 class TestText:
