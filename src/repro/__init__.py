@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "5.0.0"  # major: IOAgentConfig.max_workers and the --max-workers flags removed
+__version__ = "6.0.0"  # major: DarshanLog.records and records_for() are read-only tuples
 
 __all__ = [
     # tools

@@ -7,9 +7,10 @@ Four repo-specific rules, each scanning ``ctx.src_root``:
   stdlib ``random`` module and legacy global numpy RNG are banned outside
   ``repro/util/rng.py``, as is a zero-argument ``default_rng()``.
 * ``segtable-private`` — code outside ``repro/darshan/`` must not reach
-  into ``_``-prefixed internals of the segment store (column layout is an
-  implementation detail of :class:`SegmentTable`), and must not import the
-  scalar ``dxt_reference`` module (it is the spec oracle, not a fast path).
+  into ``_``-prefixed internals of the segment store or the counter table
+  (column layout is an implementation detail of :class:`SegmentTable` and
+  :class:`CounterTable`), and must not import the scalar ``dxt_reference``
+  module (it is the spec oracle, not a fast path).
 * ``service-locked-mutation`` — ``DiagnosisService`` cache state may only
   be mutated under ``self._cache_lock`` (outside ``__init__``).
 * ``threads-in-serve`` — threads start only in ``repro/serve/``: a
@@ -44,7 +45,7 @@ __all__ = [
 _NP_RANDOM_ALLOWED = frozenset({"default_rng", "Generator", "BitGenerator", "SeedSequence"})
 
 # Modules whose private names are off-limits outside repro/darshan/.
-_SEGMENT_MODULES = ("repro.darshan.segtable", "repro.darshan.dxt")
+_SEGMENT_MODULES = ("repro.darshan.segtable", "repro.darshan.dxt", "repro.darshan.countertable")
 _REFERENCE_MODULE = "repro.darshan.dxt_reference"
 
 
@@ -152,7 +153,7 @@ def check_unseeded_random(ctx: CheckContext) -> list[Diagnostic]:
 
 @register_check(
     "segtable-private",
-    description="no access to segment-store internals outside repro/darshan/",
+    description="no access to segment-store or counter-table internals outside repro/darshan/",
     tags=("lint", "encapsulation"),
 )
 def check_segtable_private(ctx: CheckContext) -> list[Diagnostic]:
@@ -201,8 +202,7 @@ def check_segtable_private(ctx: CheckContext) -> list[Diagnostic]:
                                 error(
                                     "segtable-private",
                                     f"{alias.name!r} is a private name of "
-                                    f"{node.module}; use the public SegmentTable "
-                                    f"API",
+                                    f"{node.module}; use the public table API",
                                     file=rel,
                                     line=node.lineno,
                                 )
@@ -220,8 +220,8 @@ def check_segtable_private(ctx: CheckContext) -> list[Diagnostic]:
                 out.append(
                     error(
                         "segtable-private",
-                        f"{node.value.id}.{node.attr} reaches into segment-store "
-                        f"internals; use the public SegmentTable API",
+                        f"{node.value.id}.{node.attr} reaches into table "
+                        f"internals; use the public table API",
                         file=rel,
                         line=node.lineno,
                     )

@@ -30,7 +30,7 @@ from repro.core.pipeline import PipelineObserver, PipelineTool, StageMetrics
 from repro.core.registry import DiagnosticTool, get_tool
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
-from repro.darshan.writer import iter_darshan_text
+from repro.darshan.writer import iter_darshan_text, render_header
 from repro.llm.client import Usage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,12 +46,18 @@ def trace_digest(log: DarshanLog) -> str:
     Covers both evidence channels: the parser-text rendering of the
     counters and, when present, the DXT segment table — two logs with
     identical counters but different timelines must not share a cache
-    entry.  The counter text is hashed chunk by chunk as it is rendered,
-    never held whole.
+    entry.  A log parsed from exactly the text the writer would emit for
+    it carries the sha256 of those bytes (``counter_table.memo``), which
+    is used as long as its header still renders the same; any other log
+    is hashed chunk by chunk as it is rendered, never held whole.
     """
-    digest = hashlib.sha256()
-    for chunk in iter_darshan_text(log):
-        digest.update(chunk.encode("utf-8"))
+    memo = log.counter_table.memo
+    if memo is not None and memo.header == render_header(log.header):
+        digest = memo.sha256.copy()
+    else:
+        digest = hashlib.sha256()
+        for chunk in iter_darshan_text(log):
+            digest.update(chunk.encode("utf-8"))
     if log.dxt_segments:
         from repro.darshan.dxt import dxt_digest
 

@@ -20,6 +20,8 @@ implementations these were validated against live in
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.darshan.segtable import (
@@ -41,6 +43,7 @@ __all__ = [
     "DxtCollector",
     "render_dxt_text",
     "parse_dxt_text",
+    "parse_dxt_lines",
     "dxt_digest",
     "dxt_timeline_facts",
     "app_level_segments",
@@ -181,53 +184,112 @@ def parse_dxt_text(
     ``skipped`` (when given) as ``(lineno, line, reason)`` so callers can
     fold them into a :class:`~repro.darshan.parser.ParseReport`.
     """
-    def _is_ost_token(token: str) -> bool:
-        return token == "-" or token.isdigit()
+    return parse_dxt_lines(text.splitlines(), lenient=lenient, skipped=skipped)
 
-    def _parse_line(line: str, lineno: int) -> tuple:
-        parts = line.split(None, 9)
-        if len(parts) == 9 or (len(parts) == 10 and not _is_ost_token(parts[8])):
-            # A legacy (pre-ost) export line: either exactly 9 fields, or
-            # more because its path contains whitespace — re-split with
-            # the path last and mark the segment unattributed.
-            legacy = line.split(None, 8)
-            parts = legacy[:8] + ["-"] + legacy[8:]
-        if len(parts) != 10:
-            raise ValueError(
-                f"DXT line {lineno}: expected 9 or 10 whitespace-separated fields, "
-                f"got {len(parts)}"
-            )
-        module, rank, operation, _index, offset, length, start, end, ost, path = parts
-        if operation not in ("read", "write"):
-            raise ValueError(
-                f"DXT line {lineno}: unknown operation {operation!r} (expected read/write)"
-            )
-        return (
-            module,
-            int(rank),
-            path,
-            operation,
-            int(offset),
-            int(length),
-            float(start),
-            float(end),
-            None if ost == "-" else int(ost),
+
+def _converted(tokens: Sequence[str], convert, errors: dict[int, str], few: bool = False) -> list:
+    """``convert`` over a column; a failing row gets ``None`` and an error.
+
+    Only a row's first error is kept: columns are converted in the order
+    a segment's fields are read.  A column of ``few`` distinct tokens
+    (rank, ost) converts each distinct token once.
+    """
+    try:
+        if few:
+            distinct = dict.fromkeys(tokens)
+            for token in distinct:
+                distinct[token] = convert(token)
+            return list(map(distinct.__getitem__, tokens))
+        return list(map(convert, tokens))
+    except ValueError:
+        values: list = []
+        for i, token in enumerate(tokens):
+            try:
+                values.append(convert(token))
+            except ValueError as exc:
+                values.append(None)
+                errors.setdefault(i, str(exc))
+        return values
+
+
+def _ost(token: str) -> int:
+    return NO_OST if token == "-" else int(token)
+
+
+def _split_segment(line: str) -> list[str]:
+    """The ten fields of a segment line (a legacy nine-field line gets ``-``)."""
+    parts = line.split(None, 9)
+    if len(parts) == 9 or (len(parts) == 10 and not (parts[8] == "-" or parts[8].isdigit())):
+        # A legacy (pre-ost) export line: either exactly 9 fields, or
+        # more because its path contains whitespace — re-split with
+        # the path last and mark the segment unattributed.
+        legacy = line.split(None, 8)
+        parts = legacy[:8] + ["-"] + legacy[8:]
+    return parts
+
+
+def parse_dxt_lines(
+    lines: list[str],
+    *,
+    lenient: bool = False,
+    skipped: list[tuple[int, str, str]] | None = None,
+) -> SegmentTable:
+    """:func:`parse_dxt_text` over the text's ``splitlines()``.
+
+    Each line is split once; the fields are then checked and converted a
+    whole column at a time and handed to the table builder in bulk.
+    """
+    stripped = list(map(str.strip, lines))
+    kept = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
+    if not kept:
+        return SegmentTable.empty()
+    texts = [stripped[i] for i in kept]
+    rows = [line.split(None, 9) for line in texts]
+    errors: dict[int, str] = {}
+    fields = list(zip(*rows)) if set(map(len, rows)) == {10} else []
+    if not fields or not all(t == "-" or t.isdigit() for t in set(fields[8])):
+        # Legacy lines, or lines of the wrong width: one at a time.
+        rows = list(map(_split_segment, texts))
+        for i, row in enumerate(rows):
+            if len(row) != 10:
+                errors[i] = (
+                    f"DXT line {kept[i] + 1}: expected 9 or 10 whitespace-separated "
+                    f"fields, got {len(row)}"
+                )
+                rows[i] = ["", "0", "read", "0", "0", "0", "0", "0", "-", ""]
+        fields = list(zip(*rows))
+    module, rank, operation, _index, offset, length, start, end, ost, path = fields
+    if not set(operation) <= {"read", "write"}:
+        for i, op in enumerate(operation):
+            if op not in ("read", "write"):
+                errors.setdefault(
+                    i, f"DXT line {kept[i] + 1}: unknown operation {op!r} (expected read/write)"
+                )
+    columns = [
+        _converted(tokens, convert, errors, few)
+        for tokens, convert, few in (
+            (rank, int, True),
+            (offset, int, False),
+            (length, int, False),
+            (start, float, False),
+            (end, float, False),
+            (ost, _ost, True),
         )
+    ]
+    if errors:
+        if not lenient:
+            raise ValueError(errors[min(errors)])
+        if skipped is not None:
+            skipped.extend((kept[i] + 1, texts[i], errors[i]) for i in sorted(errors))
+        good = [i for i in range(len(rows)) if i not in errors]
 
+        def pick(column: Sequence) -> list:
+            return [column[i] for i in good]
+
+        module, path, operation = pick(module), pick(path), pick(operation)
+        columns = [pick(column) for column in columns]
     builder = SegmentTableBuilder()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            fields = _parse_line(line, lineno)
-        except ValueError as exc:
-            if not lenient:
-                raise
-            if skipped is not None:
-                skipped.append((lineno, line, str(exc)))
-            continue
-        builder.append(*fields)
+    builder.extend(module, columns[0], path, operation, *columns[1:])
     return builder.build()
 
 

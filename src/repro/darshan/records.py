@@ -23,6 +23,10 @@ class DarshanRecord:
     ``counters`` holds integer counters, ``fcounters`` floating-point ones;
     both are keyed by the canonical counter names in
     :mod:`repro.darshan.counters` (plus ``LUSTRE_OST_ID_<k>`` entries).
+
+    The records of a :class:`~repro.darshan.log.DarshanLog` are read-only
+    rows built from its counter table: setting an attribute or a counter
+    raises.  A record built directly is an ordinary mutable value.
     """
 
     module: str

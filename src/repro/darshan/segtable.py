@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
 OPERATIONS: tuple[str, ...] = ("read", "write")
 READ_CODE = 0
 WRITE_CODE = 1
+_OP_CODES = {"read": READ_CODE}
 
 # The ``ost`` column's "unattributed" code: segments from parsed text
 # traces or from paths outside the simulated mount carry no server id,
@@ -387,6 +389,44 @@ class SegmentTableBuilder:
             self._cur = self._new_chunk()
             self._fill = 0
 
+    def extend(
+        self,
+        module: Sequence[str],
+        rank: Sequence[int],
+        path: Sequence[str],
+        operation: Sequence[str],
+        offset: Sequence[int],
+        length: Sequence[int],
+        start: Sequence[float],
+        end: Sequence[float],
+        ost: Sequence[int],
+    ) -> None:
+        """Append whole columns at once (``ost`` uses :data:`NO_OST`).
+
+        Equivalent to one :meth:`append` per row: strings are interned in
+        first-appearance order, and the rows follow any appended before.
+        """
+        n = len(rank)
+        if self._fill:
+            self._full.append(tuple(col[: self._fill] for col in self._cur))
+            self._cur = self._new_chunk()
+            self._fill = 0
+        columns = (
+            _intern(module, self._modules),
+            rank,
+            _intern(path, self._paths),
+            list(map(_OP_CODES.get, operation, repeat(WRITE_CODE))),
+            offset,
+            length,
+            start,
+            end,
+            ost,
+        )
+        self._full.append(
+            tuple(np.asarray(col, dtype=dt) for col, dt in zip(columns, self._DTYPES))
+        )
+        self._count += n
+
     def build(self) -> SegmentTable:
         """Concatenate the chunks into an immutable table (copies once)."""
         parts = [*self._full, tuple(col[: self._fill] for col in self._cur)]
@@ -399,6 +439,13 @@ class SegmentTableBuilder:
             paths=tuple(self._paths),
             **columns,
         )
+
+
+def _intern(values: Sequence[str], dictionary: dict[str, int]) -> list[int]:
+    """Codes of ``values`` in ``dictionary``, adding new ones first-seen."""
+    for value in dict.fromkeys(values):
+        dictionary.setdefault(value, len(dictionary))
+    return list(map(dictionary.__getitem__, values))
 
 
 def group_bounds(inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

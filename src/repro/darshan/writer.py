@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.darshan.log import MODULE_ORDER, DarshanLog
+from repro.darshan.log import MODULE_ORDER, DarshanLog, JobHeader
+from repro.darshan.records import record_id_for
 
-__all__ = ["iter_darshan_text", "render_darshan_text"]
+__all__ = ["iter_darshan_text", "render_darshan_text", "render_header", "section_header"]
 
 _MODULE_TITLES = {
     "POSIX": "POSIX module data",
@@ -29,15 +30,10 @@ _COLUMNS = (
 )
 
 
-def iter_darshan_text(log: DarshanLog, include_dxt: bool = False) -> Iterator[str]:
-    """The parser text of ``log`` as a stream of chunks, one per record.
-
-    The chunks concatenate to :func:`render_darshan_text`, so a consumer
-    that only folds the text (the content digest) never holds all of it.
-    """
-    h = log.header
+def render_header(h: JobHeader) -> str:
+    """The header chunk: job metadata, mount table, trailing blank line."""
     mounts = "".join(f"# mount entry:\t{mount}\t{fs_type}\n" for mount, fs_type in h.mounts)
-    yield (
+    return (
         f"# darshan log version: {h.log_version}\n"
         "# compression method: ZLIB\n"
         f"# exe: {h.exe}\n"
@@ -53,18 +49,34 @@ def iter_darshan_text(log: DarshanLog, include_dxt: bool = False) -> Iterator[st
         "# -------------------------------------------------------\n"
         f"{mounts}\n"
     )
+
+
+def section_header(module: str) -> str:
+    """The banner and column legend that open one module's section."""
+    title = _MODULE_TITLES.get(module, module + " module data")
+    return f"{_RULE}# {title}\n{_RULE}\n{_COLUMNS}"
+
+
+def iter_darshan_text(log: DarshanLog, include_dxt: bool = False) -> Iterator[str]:
+    """The parser text of ``log`` as a stream of chunks, one per record.
+
+    The chunks concatenate to :func:`render_darshan_text`, so a consumer
+    that only folds the text (the content digest) never holds all of it.
+    Records are rendered straight from the log's counter columns; no
+    record objects are built.
+    """
+    yield render_header(log.header)
     for module in MODULE_ORDER:
-        records = log.records_for(module)
-        if not records:
+        columns = log.counter_table.module(module)
+        if columns is None:
             continue
-        title = _MODULE_TITLES.get(module, module + " module data")
-        yield f"{_RULE}# {title}\n{_RULE}\n{_COLUMNS}"
-        for rec in records:
-            head = f"{module}\t{rec.rank}\t{rec.record_id}\t"
-            tail = f"\t{rec.path}\t{rec.mount_point}\t{rec.fs_type}\n"
+        yield section_header(module)
+        for rank, path, mount, fs_type, ints, floats in columns.iter_rows():
+            head = f"{module}\t{rank}\t{record_id_for(path)}\t"
+            tail = f"\t{path}\t{mount}\t{fs_type}\n"
             yield "".join(
-                [f"{head}{name}\t{value}{tail}" for name, value in rec.counters.items()]
-                + [f"{head}{name}\t{value:.6f}{tail}" for name, value in rec.fcounters.items()]
+                [f"{head}{name}\t{value}{tail}" for name, value in ints]
+                + [f"{head}{name}\t{value:.6f}{tail}" for name, value in floats]
             )
         yield "\n"
     if include_dxt and log.dxt_segments:

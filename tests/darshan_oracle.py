@@ -1,0 +1,214 @@
+"""Scalar reference parsers: the line-by-line readings the bulk parser must equal.
+
+``oracle_parse_with_report`` reads darshan-parser text one line at a time
+into per-record dicts, and ``oracle_parse_dxt_text`` reads a DXT section
+one segment at a time; both are the implementations the bulk parsers in
+:mod:`repro.darshan.parser` and :mod:`repro.darshan.dxt` replaced.  Tests
+compare the two on rendered traces, hand edits and damage.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Callable, TypeVar
+
+from repro.darshan.log import DarshanLog, JobHeader
+from repro.darshan.parser import DarshanParseError, ParseReport, SkippedLine
+from repro.darshan.records import DarshanRecord
+from repro.darshan.segtable import SegmentTable, SegmentTableBuilder
+
+__all__ = ["oracle_parse_with_report", "oracle_parse_dxt_text"]
+
+_T = TypeVar("_T")
+
+_HEADER_RE = re.compile(r"^# ([a-z_ ]+): (.*)$")
+_MOUNT_RE = re.compile(r"^# mount entry:\t(\S+)\t(\S+)$")
+
+
+def _parse_record_line(
+    line: str, lineno: int, records: dict[tuple[str, str], DarshanRecord]
+) -> None:
+    """Fold one tab-separated counter line into ``records`` (or raise)."""
+    parts = line.split("\t")
+    if len(parts) != 8:
+        raise DarshanParseError(
+            f"line {lineno}: expected 8 tab-separated fields, got {len(parts)}"
+        )
+    module, rank_s, _rid, counter, value_s, path, mount, fs_type = parts
+    if "." in value_s or "e" in value_s or "E" in value_s:
+        value: int | float = float(value_s)
+    else:
+        value = int(value_s)
+    rank = int(rank_s)
+    key = (module, path)
+    rec = records.get(key)
+    if rec is None:
+        rec = DarshanRecord(
+            module=module,
+            path=path,
+            rank=rank,
+            mount_point=mount,
+            fs_type=fs_type,
+        )
+        records[key] = rec
+    if isinstance(value, float):
+        rec.fcounters[counter] = value
+    else:
+        rec.counters[counter] = value
+
+
+def _header_value(
+    fields: dict[str, str],
+    name: str,
+    convert: Callable[[str], _T],
+    valid: Callable[[_T], bool] = lambda value: True,
+) -> _T:
+    try:
+        value = convert(fields[name])
+    except ValueError:
+        raise DarshanParseError(f"header field {name!r}: invalid value {fields[name]!r}") from None
+    if not valid(value):
+        raise DarshanParseError(f"header field {name!r}: invalid value {fields[name]!r}")
+    return value
+
+
+def oracle_parse_with_report(
+    text: str, *, lenient: bool = False
+) -> tuple[DarshanLog, list[DarshanRecord], ParseReport]:
+    """The line-by-line parse: the log, its records as built, and the report."""
+    header_fields: dict[str, str] = {}
+    mounts: list[tuple[str, str]] = []
+    records: dict[tuple[str, str], DarshanRecord] = {}
+    dxt_text: str | None = None
+    dxt_start = 0
+    record_lines = 0
+    skipped: list[SkippedLine] = []
+
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.startswith("# DXT trace"):
+            dxt_text = "\n".join(lines[lineno - 1 :])
+            dxt_start = lineno - 1
+            break
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            m = _MOUNT_RE.match(line)
+            if m:
+                mounts.append((m.group(1), m.group(2)))
+                continue
+            m = _HEADER_RE.match(line)
+            if m:
+                header_fields[m.group(1).strip()] = m.group(2).strip()
+            continue
+        try:
+            _parse_record_line(line, lineno, records)
+        except (DarshanParseError, ValueError) as exc:
+            if not lenient:
+                if isinstance(exc, DarshanParseError):
+                    raise
+                raise DarshanParseError(f"line {lineno}: {exc}") from exc
+            skipped.append(SkippedLine(lineno=lineno, text=line, reason=str(exc)))
+            continue
+        record_lines += 1
+
+    required = ("exe", "uid", "jobid", "start_time", "end_time", "nprocs", "run time")
+    missing = [k for k in required if k not in header_fields]
+    if missing:
+        raise DarshanParseError(f"missing header fields: {missing}")
+    header = JobHeader(
+        exe=header_fields["exe"],
+        uid=_header_value(header_fields, "uid", int),
+        jobid=_header_value(header_fields, "jobid", int),
+        nprocs=_header_value(header_fields, "nprocs", int, lambda n: n > 0),
+        start_time=_header_value(header_fields, "start_time", int),
+        end_time=_header_value(header_fields, "end_time", int),
+        run_time=_header_value(header_fields, "run time", float, lambda t: not t < 0),
+        log_version=header_fields.get("darshan log version", "3.41"),
+        mounts=mounts,
+    )
+
+    dxt_segments = None
+    dxt_lines = 0
+    if dxt_text is not None:
+        dxt_skipped: list[tuple[int, str, str]] = []
+        try:
+            table = oracle_parse_dxt_text(
+                dxt_text, lenient=lenient, skipped=dxt_skipped if lenient else None
+            )
+        except DarshanParseError:
+            raise
+        except ValueError as exc:
+            raise DarshanParseError(str(exc)) from exc
+        for sub_lineno, sub_text, reason in dxt_skipped:
+            skipped.append(
+                SkippedLine(lineno=dxt_start + sub_lineno, text=sub_text, reason=reason)
+            )
+        dxt_lines = len(table)
+        dxt_segments = table if len(table) else None
+
+    built = list(records.values())
+    log = DarshanLog(header=header, records=built, dxt_segments=dxt_segments)
+    report = ParseReport(
+        total_lines=len(lines),
+        record_lines=record_lines,
+        dxt_lines=dxt_lines,
+        skipped=tuple(skipped),
+    )
+    return log, built, report
+
+
+def oracle_parse_dxt_text(
+    text: str,
+    *,
+    lenient: bool = False,
+    skipped: list[tuple[int, str, str]] | None = None,
+) -> SegmentTable:
+    """The segment-at-a-time DXT parse."""
+
+    def _is_ost_token(token: str) -> bool:
+        return token == "-" or token.isdigit()
+
+    def _parse_line(line: str, lineno: int) -> tuple:
+        parts = line.split(None, 9)
+        if len(parts) == 9 or (len(parts) == 10 and not _is_ost_token(parts[8])):
+            legacy = line.split(None, 8)
+            parts = legacy[:8] + ["-"] + legacy[8:]
+        if len(parts) != 10:
+            raise ValueError(
+                f"DXT line {lineno}: expected 9 or 10 whitespace-separated fields, "
+                f"got {len(parts)}"
+            )
+        module, rank, operation, _index, offset, length, start, end, ost, path = parts
+        if operation not in ("read", "write"):
+            raise ValueError(
+                f"DXT line {lineno}: unknown operation {operation!r} (expected read/write)"
+            )
+        return (
+            module,
+            int(rank),
+            path,
+            operation,
+            int(offset),
+            int(length),
+            float(start),
+            float(end),
+            None if ost == "-" else int(ost),
+        )
+
+    builder = SegmentTableBuilder()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            fields = _parse_line(line, lineno)
+        except ValueError as exc:
+            if not lenient:
+                raise
+            if skipped is not None:
+                skipped.append((lineno, line, str(exc)))
+            continue
+        builder.append(*fields)
+    return builder.build()

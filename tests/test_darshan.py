@@ -6,7 +6,8 @@ import hashlib
 import re
 
 import pytest
-from hypothesis import given
+from darshan_oracle import oracle_parse_with_report
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.service import trace_digest
@@ -27,6 +28,7 @@ from repro.darshan.parser import (
 )
 from repro.darshan.records import DarshanRecord, record_id_for
 from repro.darshan.writer import iter_darshan_text, render_darshan_text
+from repro.resilience.faults import FaultPlan, FaultSpec, corrupt_trace_text
 from repro.sim.filesystem import LustreFileSystem
 from repro.sim.ops import API, IOOp, OpKind
 from repro.sim.runtime import IORuntime, JobSpec
@@ -223,7 +225,15 @@ class TestTextRoundTrip:
             parse_darshan_text("# exe: /bin/x\n")
 
     @pytest.mark.parametrize(
-        "field, bad", [("nprocs", "four"), ("uid", "1001x"), ("run time", ""), ("jobid", "1.5")]
+        "field, bad",
+        [
+            ("nprocs", "four"),
+            ("uid", "1001x"),
+            ("run time", ""),
+            ("jobid", "1.5"),
+            ("nprocs", "0"),
+            ("run time", "-1.0000"),
+        ],
     )
     @pytest.mark.parametrize("lenient", [False, True])
     def test_malformed_header_value_names_the_field(self, sb01_trace, field, bad, lenient):
@@ -371,3 +381,137 @@ class TestDamagedText:
     def test_missing_header_raises_even_lenient(self):
         with pytest.raises(DarshanParseError, match="missing header fields"):
             parse_darshan_text_with_report("# exe: /bin/x\n", lenient=True)
+
+
+# -- the bulk parser against the line-by-line oracle ------------------------
+
+
+def _outcome(parse, text: str, lenient: bool):
+    """A parse's observable result: the log's content and report, or the error."""
+    try:
+        result = parse(text, lenient=lenient)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raised", type(exc), str(exc))
+    log, report = result[0], result[-1]
+    records = result[1] if len(result) == 3 else log.records
+    h = log.header
+    header = (h.exe, h.uid, h.jobid, h.nprocs, h.start_time, h.end_time, h.run_time)
+    header += (h.log_version, h.mounts)
+    dxt = dxt_digest(log.dxt_segments) if log.dxt_segments else None
+    return header, [_row_content(r) for r in records], dxt, report
+
+
+def _row_content(r) -> tuple:
+    """A record's fields, with its counters in order and with value types."""
+    counters = [(k, v, type(v)) for k, v in r.counters.items()]
+    fcounters = [(k, v, type(v)) for k, v in r.fcounters.items()]
+    return (r.module, r.path, r.rank, r.mount_point, r.fs_type, counters, fcounters)
+
+
+def _assert_matches_oracle(text: str) -> None:
+    for lenient in (False, True):
+        new = _outcome(parse_darshan_text_with_report, text, lenient)
+        assert new == _outcome(oracle_parse_with_report, text, lenient)
+        if new[0] != "raised":
+            log = parse_darshan_text(text, lenient=lenient)
+            assert trace_digest(log) == _whole_text_digest(log)
+
+
+_EDITS = ("blank", "comment", "move", "repeat", "record-id", "spelling", "tab")
+_SPELLINGS = ("007", "+5", "1e3", "2.50", "-0", "-12", "-3.250000", "1_000", " 7", "0.000000", "x")
+
+
+@st.composite
+def _edited_traces(draw):
+    """A rendered trace with edits the parser accepts, and maybe damage."""
+    base = draw(st.sampled_from(sorted(_BASE_TEXTS)))
+    lines = _BASE_TEXTS[base]().split("\n")
+    records = [i for i, line in enumerate(lines) if line.count("\t") == 7 and line[0] != "#"]
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(_EDITS))
+        i = draw(st.sampled_from(records))
+        fields = lines[i].split("\t")
+        if op == "blank":
+            lines.insert(i, "")
+        elif op == "comment":
+            lines.insert(i, "# an extra comment")
+        elif op == "move":
+            # Reorders counters or records, or splits a record into two runs.
+            lines.insert(draw(st.sampled_from(records)), lines.pop(i))
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "record-id":
+            fields[2] = str(draw(st.integers(0, 2**63 - 1)))
+            lines[i] = "\t".join(fields)
+        elif op == "spelling":
+            fields[4] = draw(st.sampled_from(_SPELLINGS))
+            lines[i] = "\t".join(fields)
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            if draw(st.booleans()) and "\t" in lines[i]:
+                lines[i] = lines[i].replace("\t", "", 1)
+            else:
+                lines[i] = lines[i][:at] + "\t" + lines[i][at:]
+        records = [j for j, line in enumerate(lines) if line.count("\t") == 7 and line[:1] != "#"]
+    text = ("\r\n" if draw(st.booleans()) else "\n").join(lines)
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _rendered(name: str, dxt: bool):
+    def build() -> str:
+        if name not in _RENDERED:
+            log = build_scenario(get_scenario(name), seed=0).log
+            _RENDERED[name] = render_darshan_text(log, include_dxt=dxt)
+        return _RENDERED[name]
+
+    return build
+
+
+_RENDERED: dict[str, str] = {}
+_BASE_TEXTS = {
+    "sb01": _rendered("sb01-small-writes", dxt=False),
+    "path14": _rendered("path14-lock-convoy", dxt=True),
+    "hand-built": lambda: render_darshan_text(_hand_built_log()),
+}
+
+
+class TestBulkParserMatchesOracle:
+    """The bulk parser reads every text exactly as the line-by-line oracle does."""
+
+    @pytest.mark.parametrize("base", sorted(_BASE_TEXTS))
+    def test_rendered_text_round_trips_with_its_digest(self, base):
+        text = _BASE_TEXTS[base]()
+        _assert_matches_oracle(text)
+        log = parse_darshan_text(text)
+        assert log.counter_table.memo is not None  # the writer's bytes: no re-render
+        assert render_darshan_text(log, include_dxt=True) == text
+        row = log.records[0]
+        with pytest.raises(AttributeError):
+            row.rank = 3
+        with pytest.raises(TypeError):
+            row.counters["POSIX_WRITES"] = 1
+        left_to_right = sum(r.get("POSIX_F_WRITE_TIME", 0) for r in log.records)
+        assert log.total("POSIX_F_WRITE_TIME") == float(left_to_right)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edited_traces())
+    def test_edited_and_damaged_text(self, text):
+        _assert_matches_oracle(text)
+
+
+class TestLenientDamageSweep:
+    """Every trace fault of corrupt_trace_text, parsed as the oracle parses it."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind", ["trace-truncate", "trace-truncate-dxt", "trace-garble-lines"])
+    @pytest.mark.parametrize("base", ["sb01", "path14"])
+    def test_damage(self, base, kind, seed):
+        plan = FaultPlan(name=f"sweep-{kind}", specs=(FaultSpec(kind),), seed=seed)
+        damaged = corrupt_trace_text(_BASE_TEXTS[base](), plan, f"{base}/{seed}").text
+        lenient = _outcome(parse_darshan_text_with_report, damaged, True)
+        assert lenient[0] != "raised" or lenient[1] is DarshanParseError
+        assert lenient == _outcome(oracle_parse_with_report, damaged, True)
+        strict = _outcome(parse_darshan_text_with_report, damaged, False)
+        assert strict == _outcome(oracle_parse_with_report, damaged, False)

@@ -138,15 +138,22 @@ class TestCli:
         assert main(["diagnose", trace_file, "--no-rag"]) == 0
         assert "References:" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["diagnose", "drishti", "chat", "series", "serve"])
-    def test_malformed_trace_file_exits_2(self, trace_file, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, nprocs",
+        [
+            *((command, "four") for command in ("diagnose", "drishti", "chat", "series", "serve")),
+            ("diagnose", "0"),  # parses as an int, but JobHeader rejects it
+        ],
+        ids=["diagnose", "drishti", "chat", "series", "serve", "diagnose-nprocs-0"],
+    )
+    def test_malformed_trace_file_exits_2(self, trace_file, tmp_path, capsys, command, nprocs):
         bad = tmp_path / "bad.darshan.txt"
         text = open(trace_file, encoding="utf-8").read()
-        bad.write_text(text.replace("# nprocs: 4\n", "# nprocs: four\n"), encoding="utf-8")
+        bad.write_text(text.replace("# nprocs: 4\n", f"# nprocs: {nprocs}\n"), encoding="utf-8")
         argv = [command, str(bad)] + ([str(bad)] if command == "series" else [])
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {bad}: header field 'nprocs': invalid value 'four'\n"
+        assert err == f"error: {bad}: header field 'nprocs': invalid value '{nprocs}'\n"
 
     def test_missing_trace_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
