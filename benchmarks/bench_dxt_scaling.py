@@ -5,8 +5,8 @@ allows" if its cost is flat in segment count — Darshan leaves DXT off by
 default precisely because per-operation tracing is expensive.  This
 benchmark measures, at 10k / 100k / 1M segments:
 
-* **ingest** — ``DxtCollector.on_op`` into the chunked columnar buffers
-  plus the final table build;
+* **ingest** — ``DxtCollector.on_op`` appending each op as one row of
+  an executed-op table, plus the reduction of its rows to segments;
 * **vectorized extraction** — ``dxt_temporal_facts`` over the
   :class:`~repro.darshan.segtable.SegmentTable` (the production path);
 * **scalar extraction** — the PR 3 per-object reference sweeps

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """DXT extended tracing: the paper's future-work extension in action.
 
-Runs a bursty checkpoint workload with BOTH the standard Darshan counter
-instrumentation and the DXT per-operation collector attached, prints an
-excerpt of the DXT segment table, and shows the timeline facts (phase
-structure, burst detection) that counters alone cannot express.
+Runs a bursty checkpoint workload, reduces the executed-op table the
+runtime returns to BOTH evidence channels (the standard Darshan counters
+and the DXT per-operation segments), prints an excerpt of the DXT segment
+table, and shows the timeline facts (phase structure, burst detection)
+that counters alone cannot express.
 
 Usage:  python examples/dxt_timeline.py
 """
 
 from __future__ import annotations
 
-from repro.darshan.dxt import DxtCollector, dxt_temporal_facts, render_dxt_text
+from repro.darshan.dxt import collect_segments, dxt_temporal_facts, render_dxt_text
 from repro.darshan.instrument import DarshanInstrument
 from repro.llm.facts import render_fact
 from repro.sim.filesystem import LustreFileSystem
@@ -40,21 +41,19 @@ def checkpoint_workload(nprocs: int = 4):
 def main() -> None:
     fs = LustreFileSystem(seed=0)
     spec = JobSpec(exe="/home/demo/checkpointer", nprocs=4)
-    runtime = IORuntime(spec, fs)
-    counters = DarshanInstrument(spec, fs)
-    dxt = DxtCollector()
-    runtime.add_observer(counters)
-    runtime.add_observer(dxt)
-    result = runtime.run(checkpoint_workload())
+    result = IORuntime(spec, fs).run(checkpoint_workload())
+    log = DarshanInstrument(spec, fs).finalize(result.runtime, result.ops)
+    segments, dropped = collect_segments(result.ops)
 
     print(f"simulated {result.ops_executed} operations in {result.runtime:.3f} s")
-    print(f"DXT captured {len(dxt.segments)} segments (dropped {dxt.dropped})")
+    print(f"Darshan counters: {len(log.records)} records")
+    print(f"DXT captured {len(segments)} segments (dropped {dropped})")
     print()
     print("---- DXT segment table (first 8 rows) ----")
-    print("\n".join(render_dxt_text(dxt.segments).splitlines()[:9]))
+    print("\n".join(render_dxt_text(segments).splitlines()[:9]))
     print()
     print("---- temporal facts (LLM-ready) ----")
-    for fact in dxt_temporal_facts(dxt.segments):
+    for fact in dxt_temporal_facts(segments):
         print(render_fact(fact))
 
 

@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "6.0.0"  # major: DarshanLog.records and records_for() are read-only tuples
+__version__ = "7.0.0"  # major: IORuntime returns an op table; the observer API is gone
 
 __all__ = [
     # tools

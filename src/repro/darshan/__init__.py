@@ -7,9 +7,12 @@ shared-file reduction, the ``darshan-parser`` text serialization that plain
 LLMs are fed, and a parser to read that text back.
 
 The instrumentation layer (:class:`~repro.darshan.instrument.
-DarshanInstrument`) observes the simulated runtime exactly as the real
-Darshan library interposes on I/O calls, then finalizes into a
-:class:`~repro.darshan.log.DarshanLog`.
+DarshanInstrument`) sees every operation the simulated runtime executed,
+as the real Darshan library sees every I/O call it interposes on: it
+reduces the run's executed-op table (:mod:`repro.sim.optable`) to a
+:class:`~repro.darshan.log.DarshanLog` with array kernels, and
+:func:`~repro.darshan.dxt.collect_segments` takes the DXT segments from
+the same table.
 """
 
 from repro.darshan.counters import (
@@ -28,6 +31,7 @@ from repro.darshan.counters import (
 from repro.darshan.dxt import (
     DxtCollector,
     DxtSegment,
+    collect_segments,
     parse_dxt_text,
     render_dxt_text,
 )
@@ -58,6 +62,7 @@ __all__ = [
     "parse_darshan_text",
     "DxtSegment",
     "DxtCollector",
+    "collect_segments",
     "SegmentTable",
     "SegmentTableBuilder",
     "render_dxt_text",

@@ -3,10 +3,11 @@
 The paper works from standard Darshan counters and "leave[s] working with
 Darshan DXT traces as future work" (§II-A).  This module implements that
 extension: per-operation event records (file, rank, operation, offset,
-length, start/end time — the fields DXT captures), a collector that
-attaches to the simulated runtime alongside the counter instrumentation,
-a ``darshan-dxt-parser``-style text rendering (and its inverse), and the
-temporal analysis a DXT-aware IOAgent summary category can feed the LLM.
+length, start/end time — the fields DXT captures) taken from the data
+rows of the runtime's executed-op table, the same table the counter
+instrumentation reduces, a ``darshan-dxt-parser``-style text rendering
+(and its inverse), and the temporal analysis a DXT-aware IOAgent summary
+category can feed the LLM.
 
 Segments are stored columnar (:class:`~repro.darshan.segtable.
 SegmentTable`, one numpy array per field) and every kernel here is a
@@ -36,11 +37,13 @@ from repro.darshan.segtable import (
 from repro.llm.facts import Fact
 from repro.sim.filesystem import LustreFileSystem
 from repro.sim.ops import API, IOOp, OpKind
+from repro.sim.optable import APIS, IN_FS, KIND_CODE, OpTable, OpTableBuilder
 
 __all__ = [
     "DxtSegment",
     "SegmentTable",
     "DxtCollector",
+    "collect_segments",
     "render_dxt_text",
     "parse_dxt_text",
     "parse_dxt_lines",
@@ -57,30 +60,96 @@ _DATA_KINDS = frozenset({OpKind.READ, OpKind.WRITE})
 
 DXT_TEXT_HEADER = "# DXT trace (module, rank, wt/rd, segment, offset, length, start, end, ost)"
 
+# Darshan's own per-record segment limit, as the collector's default cap.
+DEFAULT_MAX_SEGMENTS = 1_000_000
+
+
+def collect_segments(
+    ops: OpTable, max_segments: int = DEFAULT_MAX_SEGMENTS
+) -> tuple[SegmentTable, int]:
+    """The DXT segments of an executed-op table, and how many were dropped.
+
+    A segment is a data row (READ or WRITE), in execution order, up to
+    ``max_segments``; ``dropped`` counts the data rows past the cap.
+    Module and path codes are assigned in first-seen order.  A row on
+    the table's filesystem is stamped with the OST storing the stripe
+    that holds its first byte (``LustreFileSystem.serving_ost``), worked
+    out for all rows at once from each file's layout; other rows stay
+    unattributed.
+    """
+    rows = ops.data_rows()
+    dropped = max(0, rows.size - max_segments)
+    rows = rows[:max_segments]
+    module_code, apis = _first_seen(ops.api[rows])
+    path_code, codes = _first_seen(ops.path[rows])
+    paths = tuple(ops.paths[code] for code in codes.tolist())
+    offset = ops.offset[rows]
+    ost = np.full(rows.size, NO_OST, dtype=np.int32)
+    fs = ops.fs
+    attributed = (ops.flags[rows] & IN_FS) != 0
+    if fs is not None and attributed.any():
+        # Per path: stripe size, width and where its OST ids start in one
+        # list; a path outside the mount serves from NO_OST.
+        served = set(path_code[attributed].tolist())
+        layouts = [
+            fs.layout_for(p) if i in served and fs.contains(p) else None
+            for i, p in enumerate(paths)
+        ]
+        stripe = np.array([lay.stripe_size if lay else 1 for lay in layouts], dtype=np.int64)
+        width = np.array([lay.stripe_width if lay else 1 for lay in layouts], dtype=np.int64)
+        ost_ids = [lay.ost_ids if lay else (NO_OST,) for lay in layouts]
+        first = np.cumsum([0] + [len(ids) for ids in ost_ids[:-1]])
+        flat = np.array([o for ids in ost_ids for o in ids], dtype=np.int32)
+        p = path_code[attributed]
+        ost[attributed] = flat[first[p] + (offset[attributed] // stripe[p]) % width[p]]
+    table = SegmentTable(
+        modules=tuple(_MODULE_TAG[APIS[a]] for a in apis.tolist()),
+        paths=paths,
+        module_code=module_code.astype(np.uint8),
+        path_code=path_code.astype(np.int32),
+        op_code=(ops.kind[rows] == KIND_CODE[OpKind.WRITE]).astype(np.uint8),
+        rank=ops.rank[rows].astype(np.int64),
+        offset=offset,
+        length=ops.size[rows],
+        start=ops.start[rows],
+        end=ops.end[rows],
+        ost=ost,
+    )
+    return table, dropped
+
+
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber ``codes`` 0.. in first-seen order; also the codes in that order."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    renumber = np.empty(distinct.size, dtype=np.int64)
+    renumber[by_first] = np.arange(distinct.size)
+    return renumber[inverse.ravel()], distinct[by_first]
+
 
 class DxtCollector:
-    """Observer capturing per-operation segments from the runtime.
+    """Per-operation segments, as a hand-driven observer of single ops.
 
     Unlike the counter instrumentation, DXT keeps *every* data operation,
     which is why real deployments leave it off by default (the overhead
-    the paper mentions).  Segments accumulate into chunked columnar
-    buffers (:class:`~repro.darshan.segtable.SegmentTableBuilder`) — no
-    per-operation object allocation — and ``segments`` exposes them as a
-    :class:`SegmentTable`.  ``max_segments`` bounds memory like Darshan's
-    own per-record segment limit; excess operations are counted but not
-    stored.
+    the paper mentions).  A simulated run's segments come from its
+    executed-op table (:func:`collect_segments`); this class takes ops
+    one at a time through :meth:`on_op`, appends each as one row of the
+    same kind of table, and reduces the rows the same way.
+    ``max_segments`` bounds memory like Darshan's own per-record segment
+    limit; excess operations are counted in ``dropped`` but not stored.
     """
 
-    def __init__(self, max_segments: int = 1_000_000) -> None:
+    def __init__(self, max_segments: int = DEFAULT_MAX_SEGMENTS) -> None:
         if max_segments <= 0:
             raise ValueError("max_segments must be positive")
         self.max_segments = max_segments
-        self._builder = SegmentTableBuilder()
+        self._rows = OpTableBuilder()
         self._table: SegmentTable | None = None
         self.dropped = 0
 
     def on_op(self, op: IOOp, t_start: float, t_end: float, fs: LustreFileSystem | None) -> None:
-        """Record data operations; metadata ops are not DXT segments.
+        """Append one data op; metadata ops are not DXT segments.
 
         When the filesystem serving the path is known, the segment is
         stamped with its serving OST id (the server-attribution column,
@@ -89,26 +158,16 @@ class DxtCollector:
         """
         if op.kind not in _DATA_KINDS:
             return
-        if len(self._builder) >= self.max_segments:
+        if len(self._rows) >= self.max_segments:
             self.dropped += 1
             return
-        self._builder.append(
-            _MODULE_TAG[op.api],
-            op.rank,
-            op.path,
-            "read" if op.kind is OpKind.READ else "write",
-            op.offset,
-            op.size,
-            t_start,
-            t_end,
-            fs.serving_ost(op.path, op.offset) if fs is not None else None,
-        )
+        self._rows.append(op, t_start, t_end, fs)
 
     @property
     def segments(self) -> SegmentTable:
         """The collected segments as a columnar table (memoized per count)."""
-        if self._table is None or len(self._table) != len(self._builder):
-            self._table = self._builder.build()
+        if self._table is None or len(self._table) != len(self._rows):
+            self._table, _ = collect_segments(self._rows.build(), self.max_segments)
         return self._table
 
     def by_rank(self) -> dict[int, list[DxtSegment]]:

@@ -13,8 +13,9 @@ representation:
   ``Sequence[DxtSegment]``, so consumers that want per-segment objects
   (tests, text rendering, debugging) still get them — lazily.
 * :class:`SegmentTableBuilder` — chunked column buffers with O(1)
-  amortized ``append`` and no per-operation object allocation, which is
-  what keeps the always-on :class:`~repro.darshan.dxt.DxtCollector` cheap.
+  amortized ``append`` and no per-operation object allocation, for
+  callers that build a table row by row or column by column (the DXT
+  text parser, :meth:`SegmentTable.from_segments`).
 
 The vectorized temporal kernels in :mod:`repro.darshan.dxt` consume the
 columns directly; everything else can keep treating the table as the old

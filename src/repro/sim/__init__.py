@@ -5,13 +5,16 @@ package is the synthetic equivalent: a cluster of MPI ranks issuing typed
 I/O operations (:mod:`repro.sim.ops`) against a Lustre-like parallel
 filesystem (:mod:`repro.sim.filesystem`) through a runtime
 (:mod:`repro.sim.runtime`) with a bandwidth/latency/contention timing model
-(:mod:`repro.sim.timing`).  The Darshan instrumentation layer in
-:mod:`repro.darshan` observes every executed operation, exactly as the real
-Darshan library interposes on I/O calls.
+(:mod:`repro.sim.timing`).  The runtime writes every executed operation
+as one row of an executed-op table (:mod:`repro.sim.optable`), which the
+Darshan instrumentation layer in :mod:`repro.darshan` reduces to counters
+and DXT segments: it sees every operation, as the real Darshan library
+sees every I/O call it interposes on.
 """
 
 from repro.sim.filesystem import LustreFileSystem, StripeLayout
 from repro.sim.ops import API, IOOp, OpKind
+from repro.sim.optable import OpTable
 from repro.sim.runtime import IORuntime, JobResult, JobSpec
 from repro.sim.timing import PerfModel
 
@@ -19,6 +22,7 @@ __all__ = [
     "API",
     "OpKind",
     "IOOp",
+    "OpTable",
     "StripeLayout",
     "LustreFileSystem",
     "PerfModel",

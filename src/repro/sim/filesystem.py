@@ -160,7 +160,8 @@ class LustreFileSystem:
 
     def contains(self, path: str) -> bool:
         """True if ``path`` lives under this filesystem's mount point."""
-        return path.startswith(self.mount_point + "/") or path == self.mount_point
+        mount = self.mount_point
+        return path == mount or path.startswith(mount.rstrip("/") + "/")
 
     def layout_for(self, path: str) -> StripeLayout:
         """Materialize (or fetch) the stripe layout of ``path``."""

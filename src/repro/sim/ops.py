@@ -86,7 +86,7 @@ def compute(rank: int, seconds: float) -> IOOp:
 def barrier() -> IOOp:
     """Convenience constructor for a job-wide barrier.
 
-    Like COMPUTE, a barrier never reaches the filesystem or any observer —
+    Like COMPUTE, a barrier never reaches the filesystem or the op table —
     MPI synchronization is invisible to Darshan — but it aligns every
     rank's clock, which is how workloads model cross-rank dependencies
     (producer/consumer handoffs, lock-token passing) whose cost shows up

@@ -47,7 +47,8 @@ class Workload:
     before any I/O, like a job script running ``lfs setstripe``.
     ``uses_mpi=False`` models a multi-process application launched without
     MPI (TraceBench's *Multi-Process Without MPI* issue): such runs can
-    never produce MPI-IO records.  ``perf`` overrides the cluster
+    never produce MPI-IO records; the runtime rejects an MPI-IO op from
+    one with a ``ValueError``.  ``perf`` overrides the cluster
     performance constants (``None`` keeps the :class:`PerfModel` defaults);
     scenarios use it to model e.g. slow fsync commit latency.
     ``slow_osts`` marks degraded storage servers (OST id -> service-time
@@ -75,15 +76,16 @@ class Workload:
 
 
 def run_workload(workload: Workload, seed: int = 0) -> tuple[DarshanLog, JobResult]:
-    """Build the filesystem/runtime/instrument stack and execute ``workload``.
+    """Build the filesystem/runtime stack, execute ``workload``, reduce its ops.
 
-    The runtime always carries both evidence channels: the Darshan counter
-    instrumentation and a :class:`~repro.darshan.dxt.DxtCollector`, whose
-    columnar segment table is attached to the returned log
-    (``log.dxt_segments``, a :class:`~repro.darshan.segtable.SegmentTable`)
-    so downstream consumers can reason about the time domain.
+    The runtime writes every executed op into the result's op table
+    (``JobResult.ops``), and both evidence channels are reduced from it:
+    the Darshan counters, and the DXT segment table attached to the
+    returned log (``log.dxt_segments``, a
+    :class:`~repro.darshan.segtable.SegmentTable`) so downstream
+    consumers can reason about the time domain.
     """
-    from repro.darshan.dxt import DxtCollector
+    from repro.darshan.dxt import collect_segments
 
     fs = LustreFileSystem(
         num_osts=workload.num_osts,
@@ -102,11 +104,6 @@ def run_workload(workload: Workload, seed: int = 0) -> tuple[DarshanLog, JobResu
         # Stagger start times so each trace has a distinct but stable epoch.
         start_time=1_700_000_000 + workload.jobid * 3600,
     )
-    runtime = IORuntime(spec, fs, perf=workload.perf)
-    instrument = DarshanInstrument(spec, fs)
-    runtime.add_observer(instrument)
-    dxt = DxtCollector()
-    runtime.add_observer(dxt)
 
     def ops() -> Iterable[IOOp]:
         for i, phase in enumerate(workload.phases):
@@ -118,8 +115,8 @@ def run_workload(workload: Workload, seed: int = 0) -> tuple[DarshanLog, JobResu
             )
             yield from phase(ctx)
 
-    result = runtime.run(ops())
+    result = IORuntime(spec, fs, perf=workload.perf).run(ops())
     run_time = result.runtime + workload.compute_seconds
-    log = instrument.finalize(run_time)
-    log.dxt_segments = dxt.segments
+    log = DarshanInstrument(spec, fs).finalize(run_time, result.ops)
+    log.dxt_segments, _dropped = collect_segments(result.ops)
     return log, result

@@ -44,11 +44,8 @@ class TestBatch:
 def _instrumented(ops, nprocs=4):
     fs = LustreFileSystem(seed=7)
     spec = JobSpec(exe="/bin/x", nprocs=nprocs)
-    rt = IORuntime(spec, fs)
-    inst = DarshanInstrument(spec, fs)
-    rt.add_observer(inst)
-    result = rt.run(ops)
-    return inst.finalize(result.runtime), result
+    result = IORuntime(spec, fs).run(ops)
+    return DarshanInstrument(spec, fs).finalize(result.runtime, result.ops), result
 
 
 @st.composite

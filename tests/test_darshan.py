@@ -18,7 +18,7 @@ from repro.darshan.counters import (
     size_bin_index,
     size_counters,
 )
-from repro.darshan.dxt import dxt_digest
+from repro.darshan.dxt import collect_segments, dxt_digest
 from repro.darshan.instrument import DarshanInstrument
 from repro.darshan.log import MODULE_ORDER, DarshanLog, JobHeader
 from repro.darshan.parser import (
@@ -90,14 +90,23 @@ class TestRecords:
 def _run_instrumented(ops, nprocs=4, **fs_kwargs):
     fs = LustreFileSystem(seed=2, **fs_kwargs)
     spec = JobSpec(exe="/bin/x", nprocs=nprocs, jobid=9)
-    rt = IORuntime(spec, fs)
-    inst = DarshanInstrument(spec, fs)
-    rt.add_observer(inst)
-    result = rt.run(ops)
-    return inst.finalize(result.runtime)
+    result = IORuntime(spec, fs).run(ops)
+    return DarshanInstrument(spec, fs).finalize(result.runtime, result.ops)
 
 
 class TestInstrument:
+    def test_root_mounted_filesystem_owns_its_files(self):
+        fs = LustreFileSystem(mount_point="/", seed=2)
+        spec = JobSpec(exe="/bin/x", nprocs=1)
+        write = IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/data/x", size=4096)
+        result = IORuntime(spec, fs).run([write])
+        log = DarshanInstrument(spec, fs).finalize(result.runtime, result.ops)
+        (posix,) = log.records_for("POSIX")
+        assert (posix.mount_point, posix.fs_type) == ("/", "lustre")
+        assert [r.path for r in log.records_for("LUSTRE")] == ["/data/x"]
+        segments, _ = collect_segments(result.ops)
+        assert segments[0].ost == fs.layout_for("/data/x").ost_ids[0]
+
     def test_sequential_and_consecutive_detection(self):
         ops = [IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/scratch/f", offset=i * 4096, size=4096) for i in range(10)]
         log = _run_instrumented(ops, nprocs=1)

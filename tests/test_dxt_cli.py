@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
-from repro.darshan.dxt import DxtCollector, dxt_timeline_facts, render_dxt_text
+from repro.darshan.dxt import (
+    DxtCollector,
+    collect_segments,
+    dxt_timeline_facts,
+    render_dxt_text,
+)
 from repro.darshan.writer import render_darshan_text
 from repro.sim.filesystem import LustreFileSystem
 from repro.sim.ops import API, IOOp, OpKind
@@ -13,14 +18,11 @@ from repro.sim.runtime import IORuntime, JobSpec
 from repro.util.units import MiB
 
 
-def _run_with_dxt(ops, nprocs=4):
+def _run_with_dxt(ops, nprocs=4, max_segments=1_000_000):
+    """Run ``ops``; the DXT segments of the run and how many were dropped."""
     fs = LustreFileSystem(seed=3)
     spec = JobSpec(exe="/bin/x", nprocs=nprocs)
-    rt = IORuntime(spec, fs)
-    dxt = DxtCollector()
-    rt.add_observer(dxt)
-    rt.run(ops)
-    return dxt
+    return collect_segments(IORuntime(spec, fs).run(ops).ops, max_segments)
 
 
 class TestDxtCollector:
@@ -31,38 +33,37 @@ class TestDxtCollector:
             IOOp(kind=OpKind.READ, api=API.POSIX, rank=0, path="/scratch/f", offset=0, size=4096),
             IOOp(kind=OpKind.CLOSE, api=API.POSIX, rank=0, path="/scratch/f"),
         ]
-        dxt = _run_with_dxt(ops, nprocs=1)
-        assert len(dxt.segments) == 2
-        assert [s.operation for s in dxt.segments] == ["write", "read"]
-        assert all(s.end_time > s.start_time for s in dxt.segments)
+        segments, _ = _run_with_dxt(ops, nprocs=1)
+        assert len(segments) == 2
+        assert [s.operation for s in segments] == ["write", "read"]
+        assert all(s.end_time > s.start_time for s in segments)
 
     def test_segment_fields(self):
         ops = [IOOp(kind=OpKind.WRITE, api=API.MPIIO, rank=2, path="/scratch/f", offset=1024, size=4096)]
-        dxt = _run_with_dxt(ops)
-        mpiio = [s for s in dxt.segments if s.module == "X_MPIIO"]
+        segments, _ = _run_with_dxt(ops)
+        mpiio = [s for s in segments if s.module == "X_MPIIO"]
         assert mpiio and mpiio[0].rank == 2 and mpiio[0].offset == 1024
         # Independent MPI-IO also lowers to a POSIX segment.
-        assert any(s.module == "X_POSIX" for s in dxt.segments)
+        assert any(s.module == "X_POSIX" for s in segments)
 
     def test_segment_cap_counts_drops(self):
-        fs = LustreFileSystem(seed=3)
-        spec = JobSpec(exe="/bin/x", nprocs=1)
-        rt = IORuntime(spec, fs)
-        dxt = DxtCollector(max_segments=5)
-        rt.add_observer(dxt)
-        rt.run(
+        ops = (
             IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/scratch/f", offset=i * 100, size=100)
             for i in range(10)
         )
-        assert len(dxt.segments) == 5
-        assert dxt.dropped == 5
+        segments, dropped = _run_with_dxt(ops, nprocs=1, max_segments=5)
+        assert len(segments) == 5
+        assert dropped == 5
 
     def test_by_rank_grouping(self):
         ops = [
             IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=r, path="/scratch/f", offset=r * 100, size=100)
             for r in (0, 1, 0)
         ]
-        groups = _run_with_dxt(ops).by_rank()
+        dxt = DxtCollector()
+        for i, op in enumerate(ops):
+            dxt.on_op(op, float(i), float(i) + 0.5, None)
+        groups = dxt.by_rank()
         assert len(groups[0]) == 2 and len(groups[1]) == 1
 
     def test_invalid_cap(self):
@@ -72,10 +73,10 @@ class TestDxtCollector:
 
 class TestDxtAnalysis:
     def test_render_text_format(self):
-        dxt = _run_with_dxt(
+        segments, _ = _run_with_dxt(
             [IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/scratch/f", offset=0, size=4096)]
         )
-        text = render_dxt_text(dxt.segments)
+        text = render_dxt_text(segments)
         assert "X_POSIX" in text and "/scratch/f" in text
         assert text.startswith("# DXT trace")
 
@@ -85,7 +86,7 @@ class TestDxtAnalysis:
             ops.append(IOOp(kind=OpKind.READ, api=API.POSIX, rank=0, path="/scratch/in", offset=i * MiB, size=MiB))
         for i in range(50):
             ops.append(IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/scratch/out", offset=i * MiB, size=MiB))
-        facts = dxt_timeline_facts(_run_with_dxt(ops, nprocs=1).segments)
+        facts = dxt_timeline_facts(_run_with_dxt(ops, nprocs=1)[0])
         assert facts[0].get("phase") == "read-then-write"
         assert facts[0].get("n_segments") == 100
 
@@ -98,7 +99,7 @@ class TestDxtAnalysis:
         # ... then a dense checkpoint burst at the end.
         for i in range(20):
             ops.append(IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/scratch/ckpt", offset=i * MiB, size=MiB))
-        facts = dxt_timeline_facts(_run_with_dxt(ops, nprocs=1).segments)
+        facts = dxt_timeline_facts(_run_with_dxt(ops, nprocs=1)[0])
         assert facts[0].get("n_bursts") >= 1
         assert facts[0].get("peak_to_mean") > 3.0
 
@@ -109,7 +110,7 @@ class TestDxtAnalysis:
         from repro.llm.facts import extract_facts, render_fact
 
         ops = [IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/scratch/f", offset=0, size=4096)]
-        facts = dxt_timeline_facts(_run_with_dxt(ops, nprocs=1).segments)
+        facts = dxt_timeline_facts(_run_with_dxt(ops, nprocs=1)[0])
         text = render_fact(facts[0])
         recovered = extract_facts(text)
         assert any(f.kind == "dxt_timeline" for f in recovered)

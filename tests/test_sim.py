@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sim.filesystem import LustreFileSystem, StripeLayout
 from repro.sim.ops import API, IOOp, OpKind
+from repro.sim.optable import APIS
 from repro.sim.runtime import IORuntime, JobSpec
 from repro.sim.timing import PerfModel
 from repro.util.units import MiB
@@ -68,6 +69,11 @@ class TestLustreFileSystem:
         fs = LustreFileSystem(mount_point="/scratch", seed=0)
         assert fs.contains("/scratch/x")
         assert not fs.contains("/home/x")
+
+    def test_root_mount_contains_every_absolute_path(self):
+        fs = LustreFileSystem(mount_point="/", seed=0)
+        assert fs.contains("/data/x") and fs.contains("/")
+        assert not fs.contains("data/x")
 
     def test_file_size_tracking(self):
         fs = LustreFileSystem(seed=0)
@@ -137,37 +143,25 @@ class TestIORuntime:
     def test_collective_lowering_aggregates(self):
         """Collective writes lower to few large POSIX writes by aggregators."""
         rt, fs = self._runtime(nprocs=4)
-        seen = []
-
-        class Obs:
-            def on_op(self, op, t0, t1, fs):
-                seen.append(op)
-
-        rt.add_observer(Obs())
         ops = [
             IOOp(kind=OpKind.WRITE, api=API.MPIIO, rank=r, path="/scratch/c", offset=r * MiB, size=MiB, collective=True)
             for r in range(4)
         ]
-        rt.run(ops)
-        posix = [o for o in seen if o.api is API.POSIX]
-        mpiio = [o for o in seen if o.api is API.MPIIO]
+        seen = rt.run(ops).ops
+        posix = [i for i, a in enumerate(seen.api) if APIS[a] is API.POSIX]
+        mpiio = [i for i, a in enumerate(seen.api) if APIS[a] is API.MPIIO]
         assert len(mpiio) == 4  # every rank's collective call is recorded
         assert len(posix) == 1  # one aggregated transfer (4 MiB < CB buffer)
-        assert posix[0].size == 4 * MiB
-        assert posix[0].rank == 0  # the aggregator
+        assert seen.size[posix[0]] == 4 * MiB
+        assert seen.rank[posix[0]] == 0  # the aggregator
 
     def test_independent_mpiio_lowers_one_to_one(self):
         rt, _ = self._runtime(nprocs=2)
-        seen = []
-
-        class Obs:
-            def on_op(self, op, t0, t1, fs):
-                seen.append(op)
-
-        rt.add_observer(Obs())
-        rt.run([IOOp(kind=OpKind.WRITE, api=API.MPIIO, rank=0, path="/scratch/i", offset=0, size=4096)])
-        assert [o.api for o in seen] == [API.MPIIO, API.POSIX]
-        assert seen[1].size == 4096
+        seen = rt.run(
+            [IOOp(kind=OpKind.WRITE, api=API.MPIIO, rank=0, path="/scratch/i", offset=0, size=4096)]
+        ).ops
+        assert [APIS[a] for a in seen.api] == [API.MPIIO, API.POSIX]
+        assert seen.size[1] == 4096
 
     def test_rank_clocks_advance_independently(self):
         rt, _ = self._runtime(nprocs=2)
@@ -182,6 +176,14 @@ class TestIORuntime:
         rt, _ = self._runtime(nprocs=2)
         with pytest.raises(ValueError):
             rt.run([IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=5, path="/scratch/f", size=1)])
+
+    def test_mpiio_op_rejected_without_mpi(self):
+        fs = LustreFileSystem(seed=1)
+        rt = IORuntime(JobSpec(exe="/bin/app", nprocs=2, uses_mpi=False), fs)
+        ok = IOOp(kind=OpKind.WRITE, api=API.POSIX, rank=0, path="/scratch/f", size=1)
+        bad = IOOp(kind=OpKind.OPEN, api=API.MPIIO, rank=1, path="/scratch/f")
+        with pytest.raises(ValueError, match=r"MPI-IO op .*uses_mpi=False.*rank=1"):
+            rt.run([ok, bad])
 
     def test_runtime_monotone_in_volume(self):
         rt1, _ = self._runtime()

@@ -61,15 +61,8 @@ class TestSimSupport:
     def test_barrier_invisible_to_observers(self):
         fs = LustreFileSystem(seed=0)
         rt = IORuntime(JobSpec(exe="/bin/x", nprocs=2), fs)
-        seen = []
-
-        class Obs:
-            def on_op(self, op, t0, t1, fs):
-                seen.append(op.kind)
-
-        rt.add_observer(Obs())
-        rt.run([barrier()])
-        assert seen == []
+        seen = rt.run([barrier()]).ops
+        assert list(seen.kind) == []
 
     def test_slow_ost_multiplies_transfer_time(self):
         def run(slow):
