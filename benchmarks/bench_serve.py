@@ -10,11 +10,14 @@ Four claims the :mod:`repro.serve` layer makes, each checked here:
 2. **sustained throughput** — a mixed workload (distinct scenarios x
    repeats) drains through the bounded queue and worker pool with every
    request answered and every duplicate free;
-3. **batch parity** — the same mixed workload run as one
+3. **batch and synchronous parity** — the same mixed workload run as one
    :func:`~repro.core.batch.diagnose_batch` executes once per distinct
    trace, and every batch report's text is the one ``serve_all`` returned
    for that request id (batches are a client of the server, not a second
-   execution path);
+   execution path); each distinct trace diagnosed through a fresh
+   :meth:`~repro.core.service.DiagnosisService.diagnose` under a new label
+   gets ``serve_all``'s text too (a run is named by its content, not by
+   the caller's label);
 4. **deterministic telemetry** — two fresh servers driven through the
    identical workload produce byte-identical metrics snapshots (modeled
    latency over seeded SimLLM usage; no wall-clock in the artifact).
@@ -123,6 +126,17 @@ def run_batch_parity(traces, repeats: int, seed: int, served: dict[str, str]) ->
     }
 
 
+def run_sync_parity(traces, seed: int, served: dict[str, str]) -> list[str]:
+    """Trace ids whose text from a fresh ``service.diagnose`` differs from serve_all's."""
+    mismatched = []
+    for trace in traces:
+        service = DiagnosisService(config=IOAgentConfig(seed=seed))
+        report = service.diagnose(trace.log, trace_id=f"{trace.trace_id}@sync")
+        if report.text != served[f"{trace.trace_id}#0"]:
+            mismatched.append(trace.trace_id)
+    return mismatched
+
+
 def snapshot_bytes(traces, repeats: int, seed: int) -> bytes:
     """One fresh server's canonical snapshot over the fixed workload."""
     requests = [(trace.log, trace.trace_id) for trace in _mixed_workload(traces, repeats)]
@@ -202,6 +216,18 @@ def main(argv=None) -> int:
     if batch["mismatched"]:
         print(
             f"FAIL: batch reports differ from serve_all's for {batch['mismatched']}",
+            file=sys.stderr,
+        )
+        status = 1
+
+    sync_mismatched = run_sync_parity(traces, args.seed, tput["texts"])
+    print(
+        f"sync: {len(traces)} traces through DiagnosisService.diagnose, "
+        f"{len(sync_mismatched)} texts differ from serve_all"
+    )
+    if sync_mismatched:
+        print(
+            f"FAIL: synchronous reports differ from serve_all's for {sync_mismatched}",
             file=sys.stderr,
         )
         status = 1

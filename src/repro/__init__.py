@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "7.0.0"  # major: IORuntime returns an op table; the observer API is gone
+__version__ = "8.0.0"  # major: runs are named by content; run_batch lost max_workers
 
 __all__ = [
     # tools

@@ -42,6 +42,7 @@ import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.service import DiagnosisService
     from repro.darshan.log import DarshanLog
     from repro.tracebench.dataset import TraceBench
 
@@ -293,29 +294,41 @@ def _load_log(path: str) -> DarshanLog:
         raise _TraceFileError(f"{path}: {exc}") from exc
 
 
-def _cmd_tool(args) -> int:
-    from repro.core.registry import get_tool
+def _service(args, tool: str) -> DiagnosisService:
+    """The :class:`DiagnosisService` a subcommand diagnoses through.
 
-    kwargs: dict = {"seed": args.seed, "model": args.model}
-    if args.tool_name == "ioagent":
-        kwargs["use_rag"] = not args.no_rag
-        kwargs["merge_strategy"] = args.merge
-    tool = get_tool(args.tool_name, **kwargs)
-    report = tool.diagnose(_load_log(args.trace), trace_id=args.trace)
-    print(report.render())
+    The one place ``--seed``/``--model`` (plus ``diagnose``'s
+    ``--no-rag``/``--merge`` and ``serve``'s ``--store``) become an
+    :class:`~repro.core.agent.IOAgentConfig` and a service over the
+    registered ``tool``.
+    """
+    from repro.core.agent import IOAgentConfig
+    from repro.core.service import DiagnosisService
+
+    config = IOAgentConfig(
+        model=args.model,
+        seed=args.seed,
+        use_rag=not getattr(args, "no_rag", False),
+        merge_strategy=getattr(args, "merge", "tree"),
+    )
+    return DiagnosisService(tool=tool, config=config, store=getattr(args, "store", None))
+
+
+def _cmd_tool(args) -> int:
+    log = _load_log(args.trace)
+    print(_service(args, args.tool_name).diagnose(log, trace_id=args.trace).render())
     return 0
 
 
 def _cmd_chat(args) -> int:
-    from repro.core.agent import IOAgent, IOAgentConfig
     from repro.core.session import InteractiveSession
 
     log = _load_log(args.trace)
-    config = IOAgentConfig(model=args.model, seed=args.seed)
-    agent = IOAgent(config)
-    report = agent.diagnose(log, trace_id=args.trace)
+    service = _service(args, "ioagent")
+    report = service.diagnose(log, trace_id=args.trace)
     print(report.render())
-    session = InteractiveSession(report=report, client=agent.client, model=args.model)
+    client = service.tool.client  # type: ignore[attr-defined]  # the IOAgent's
+    session = InteractiveSession(report=report, client=client, model=args.model)
     print("\nAsk follow-up questions (empty line to exit).")
     for line in sys.stdin:
         question = line.strip()
@@ -326,33 +339,15 @@ def _cmd_chat(args) -> int:
     return 0
 
 
-def _fail_lookup(exc) -> int:
-    """Print a :class:`~repro.util.lookup.RegistryLookupError` and exit 2.
-
-    The one CLI rendering for every registry (tools, scenarios, series,
-    fault plans, checks): the error subclass carries its own noun, hints,
-    and options line; this helper just routes it to stderr.
-    """
-    print(exc.render_cli(), file=sys.stderr)
-    return 2
-
-
 def _cmd_series(args) -> int:
-    from repro.core.registry import ToolNotFoundError, get_tool
+    from repro.core.registry import get_tool
     from repro.regression.drift import DRIFT_THRESHOLD
-    from repro.workloads.scenarios import (
-        ScenarioNotFoundError,
-        build_series,
-        get_series_scenario,
-    )
+    from repro.workloads.scenarios import build_series, get_series_scenario
 
     threshold = DRIFT_THRESHOLD if args.threshold is None else args.threshold
     baseline_runs = args.baseline_runs
     if args.scenario is not None:
-        try:
-            scenario = get_series_scenario(args.scenario)
-        except ScenarioNotFoundError as exc:
-            return _fail_lookup(exc)
+        scenario = get_series_scenario(args.scenario)
         traces = build_series(scenario, seed=args.seed)
         logs = [t.log for t in traces]
         trace_ids = [t.trace_id for t in traces]
@@ -376,48 +371,22 @@ def _cmd_series(args) -> int:
         )
         return 2
 
-    try:
-        tool = get_tool(
-            "series",
-            inner=args.inner,
-            baseline_runs=baseline_runs,
-            threshold=threshold,
-            seed=args.seed,
-            model=args.model,
-        )
-        result = tool.diagnose_series(logs, series_id=series_id, trace_ids=trace_ids)
-    except ToolNotFoundError as exc:  # --inner named an unregistered tool
-        return _fail_lookup(exc)
+    tool = get_tool(
+        "series",
+        inner=_service(args, args.inner),
+        baseline_runs=baseline_runs,
+        threshold=threshold,
+    )
+    result = tool.diagnose_series(logs, series_id=series_id, trace_ids=trace_ids)
     print(result.render())
     return 0
 
 
-def _select_scenarios_or_fail(tokens: list[str]):
-    """Select scenarios, or print the friendly selector error and return None.
-
-    The shared exit-2 error path for every CLI surface that accepts
-    scenario selectors (``evaluate --scenarios``, ``list-scenarios
-    --tag``): unknown tokens get the same hints everywhere.
-    """
-    from repro.workloads.scenarios import ScenarioNotFoundError, select_scenarios
-
-    try:
-        return select_scenarios(tokens)
-    except ScenarioNotFoundError as exc:
-        _fail_lookup(exc)
-        return None
-
-
 def _cmd_list_scenarios(args) -> int:
-    from repro.workloads.scenarios import iter_scenarios
+    from repro.workloads.scenarios import iter_scenarios, select_scenarios
 
     tag = getattr(args, "tag", None)
-    if tag is not None:
-        scenarios = _select_scenarios_or_fail([tag])
-        if scenarios is None:
-            return 2
-    else:
-        scenarios = iter_scenarios(None)
+    scenarios = iter_scenarios(None) if tag is None else select_scenarios([tag])
     width = max(len(s.name) for s in scenarios)
     for s in scenarios:
         causes = ",".join(sorted(s.root_causes)) or "<clean>"
@@ -465,7 +434,7 @@ def _cmd_evaluate(args) -> int:
     from repro.tracebench import build_tracebench
     from repro.tracebench.dataset import TraceBench
     from repro.tracebench.spec import TRACE_SPECS
-    from repro.workloads.scenarios import build_scenario
+    from repro.workloads.scenarios import build_scenario, select_scenarios
 
     # The full 40-trace build is only paid when a TraceBench trace is
     # actually evaluated; pathology-only runs never touch it.
@@ -479,10 +448,7 @@ def _cmd_evaluate(args) -> int:
 
     selected = []
     if args.scenarios:
-        tokens = [t.strip() for t in args.scenarios.split(",") if t.strip()]
-        scenarios = _select_scenarios_or_fail(tokens)
-        if scenarios is None:
-            return 2
+        scenarios = select_scenarios([t.strip() for t in args.scenarios.split(",") if t.strip()])
         # The memoized TraceBench build already holds the tracebench-tagged
         # traces; anything else (e.g. the pathology tier) builds fresh.
         selected.extend(
@@ -572,54 +538,39 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.core.agent import IOAgentConfig
-    from repro.core.registry import ToolNotFoundError
     from repro.serve import DiagnosisServer, QueueFullError
-    from repro.workloads.scenarios import build_scenario
+    from repro.workloads.scenarios import build_scenario, select_scenarios
 
-    requests: list[tuple] = [(path, _load_log(path)) for path in args.traces]
+    requests: list[tuple] = [(_load_log(path), path) for path in args.traces]
     if args.scenarios:
-        tokens = [t.strip() for t in args.scenarios.split(",") if t.strip()]
-        scenarios = _select_scenarios_or_fail(tokens)
-        if scenarios is None:
-            return 2
-        for s in scenarios:
+        for s in select_scenarios([t.strip() for t in args.scenarios.split(",") if t.strip()]):
             trace = build_scenario(s, seed=args.seed)
-            requests.append((trace.trace_id, trace.log))
+            requests.append((trace.log, trace.trace_id))
     if not requests:
         print(
             "error: pass trace files and/or --scenarios selectors to serve",
             file=sys.stderr,
         )
         return 2
-    if args.repeat > 1:
-        requests = [req for req in requests for _ in range(args.repeat)]
+    requests = [req for req in requests for _ in range(max(1, args.repeat))]
 
-    config = IOAgentConfig(model=args.model, seed=args.seed)
-    try:
-        server = DiagnosisServer(
-            tool=args.tool,
-            config=config,
-            store=args.store,
-            queue_depth=args.queue_depth,
-            workers=args.workers,
-            wall_clock=args.wall,
-            autostart=False,  # deterministic driving mode: submit, then start
-        )
-    except ToolNotFoundError as exc:
-        return _fail_lookup(exc)
-    try:
-        reports = server.serve_all([(log, trace_id) for trace_id, log in requests])
-    except QueueFullError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            f"hint: the workload outgrew the bounded queue; raise --queue-depth "
-            f"(currently {args.queue_depth}) or shrink --repeat",
-            file=sys.stderr,
-        )
-        server.close()
-        return 2
-    server.close()
+    with DiagnosisServer(
+        service=_service(args, args.tool),
+        queue_depth=args.queue_depth,
+        workers=args.workers,
+        wall_clock=args.wall,
+        autostart=False,  # deterministic driving mode: submit, then start
+    ) as server:
+        try:
+            reports = server.serve_all(requests)
+        except QueueFullError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print(
+                f"hint: the workload outgrew the bounded queue; raise --queue-depth "
+                f"(currently {args.queue_depth}) or shrink --repeat",
+                file=sys.stderr,
+            )
+            return 2
     if args.reports:
         for report in reports:
             print(report.render())
@@ -634,11 +585,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_chaos(args) -> int:
     from repro.resilience.chaos import DEFAULT_CHAOS_SCENARIOS, run_chaos
-    from repro.resilience.faults import (
-        FaultPlanNotFoundError,
-        available_fault_plans,
-        get_fault_plan,
-    )
+    from repro.resilience.faults import available_fault_plans, get_fault_plan
 
     if args.list_plans:
         for name in available_fault_plans():
@@ -649,10 +596,7 @@ def _cmd_chaos(args) -> int:
 
     plans = tuple(p for p in args.plans.split(",") if p) or None
     scenarios = tuple(s for s in args.scenarios.split(",") if s) or DEFAULT_CHAOS_SCENARIOS
-    try:
-        report = run_chaos(plans=plans, scenarios=scenarios, seed=args.seed)
-    except FaultPlanNotFoundError as exc:
-        return _fail_lookup(exc)
+    report = run_chaos(plans=plans, scenarios=scenarios, seed=args.seed)
 
     if args.digest:
         print(report.digest)
@@ -678,6 +622,8 @@ def _cmd_chaos(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.util.lookup import RegistryLookupError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_tools:
@@ -698,6 +644,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _TraceFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RegistryLookupError as exc:
+        # The one rendering for every registry (tools, scenarios, series,
+        # fault plans): the error carries its noun, hints and options line.
+        print(exc.render_cli(), file=sys.stderr)
         return 2
 
 

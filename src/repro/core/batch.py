@@ -110,13 +110,9 @@ def run_batch(
     reflection_model: str = "gpt-4o-mini",
     seed: int = 0,
     tool: str = "ioagent",
-    max_workers: int | None = None,
     **config_kwargs,
 ) -> BatchResult:
-    """Diagnose every trace with one registered tool on one backbone.
-
-    ``max_workers`` is :func:`diagnose_batch`'s ``workers``.
-    """
+    """Diagnose every trace with one registered tool on one backbone."""
     from repro.core.agent import IOAgentConfig
     from repro.core.service import DiagnosisService
 
@@ -124,7 +120,7 @@ def run_batch(
         model=model, reflection_model=reflection_model, seed=seed, **config_kwargs
     )
     service = DiagnosisService(tool=tool, config=config)
-    return diagnose_batch(service, traces, workers=max_workers)
+    return diagnose_batch(service, traces)
 
 
 def run_scenario_batch(
@@ -132,7 +128,6 @@ def run_scenario_batch(
     model: str = "gpt-4o",
     seed: int = 0,
     tool: str = "ioagent",
-    max_workers: int | None = None,
     **config_kwargs,
 ) -> BatchResult:
     """Diagnose every scenario picked from the registry by ``selectors``.
@@ -144,14 +139,7 @@ def run_scenario_batch(
     from repro.tracebench.build import build_scenario_suite
 
     suite = build_scenario_suite(selectors, seed=seed)
-    return run_batch(
-        list(suite.traces),
-        model=model,
-        seed=seed,
-        tool=tool,
-        max_workers=max_workers,
-        **config_kwargs,
-    )
+    return run_batch(list(suite.traces), model=model, seed=seed, tool=tool, **config_kwargs)
 
 
 def cost_comparison(

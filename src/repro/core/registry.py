@@ -41,7 +41,13 @@ __all__ = [
 
 @runtime_checkable
 class DiagnosticTool(Protocol):
-    """Anything that can diagnose a Darshan log into a structured report."""
+    """Anything that can diagnose a Darshan log into a structured report.
+
+    ``diagnose``'s ``trace_id`` is the run id: it labels the report and
+    seeds the run.  :class:`~repro.core.service.DiagnosisService`, which
+    every caller diagnoses through, passes the content-derived run name
+    and relabels the copy it returns.
+    """
 
     @property
     def name(self) -> str: ...

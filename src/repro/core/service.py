@@ -5,6 +5,11 @@ behind.  On top of any registered :class:`~repro.core.registry.DiagnosticTool`
 it adds the concerns the paper's production story needs but that don't
 belong inside a tool:
 
+* **one execution path** — every caller's run goes through
+  :meth:`DiagnosisService.execute`, which names the run by content: the
+  tool runs under the first 12 hex digits of the trace digest, so report
+  text is a function of content, tool and config, and the caller's
+  ``trace_id`` is a label applied last;
 * **caching** — per-trace results memoized by ``(trace digest, tool,
   config)``, so re-diagnosing an unchanged log is free;
 * **shared resources** — one tool instance (and therefore one memoized
@@ -67,6 +72,13 @@ def trace_digest(log: DarshanLog) -> str:
     return digest.hexdigest()
 
 
+def _labeled(report: DiagnosisReport, trace_id: str | None) -> DiagnosisReport:
+    """``report`` as handed to a caller: relabeled with its ``trace_id``."""
+    if trace_id is None or report.trace_id == trace_id:
+        return report
+    return replace(report, trace_id=trace_id)
+
+
 @dataclass(frozen=True)
 class ServiceStats:
     """One coherent snapshot of a service's caching + spend state.
@@ -103,7 +115,8 @@ class DiagnosisService:
     and wrapped): lookups fall back memory → store → run, store hits are
     promoted into memory, and every non-degraded result is persisted, so
     a *fresh process* pointed at the same store serves known digests with
-    zero LLM calls.
+    zero LLM calls.  Cached and stored reports carry the run name; every
+    report handed to a caller is a copy relabeled with its ``trace_id``.
     """
 
     def __init__(
@@ -173,9 +186,7 @@ class DiagnosisService:
                     self.store_hits += 1
                     # Promote: later identical requests hit memory.
                     self._cache.setdefault(key, report)
-        if report is None or report.trace_id == trace_id:
-            return report
-        return replace(report, trace_id=trace_id)
+        return None if report is None else _labeled(report, trace_id)
 
     def diagnose(
         self,
@@ -187,8 +198,8 @@ class DiagnosisService:
 
         Caching is content-addressed — keyed by ``(trace digest, tool,
         config)`` — so resubmitting an identical log under a new name is a
-        hit; the cached report is relabeled with the requested
-        ``trace_id``.
+        hit.  Hit or miss, the text is the same (see :meth:`execute`);
+        only the label is the requested ``trace_id``.
         """
         key = self.cache_key(log)
         hit = self.lookup(key, trace_id)
@@ -200,18 +211,23 @@ class DiagnosisService:
         self,
         key: tuple[str, str, str],
         log: DarshanLog,
-        trace_id: str = "trace",
+        trace_id: str | None = None,
         observers: Sequence[PipelineObserver] = (),
     ) -> tuple[DiagnosisReport, dict[str, StageMetrics]]:
         """Run the tool on ``log`` and record a clean report under ``key``.
 
-        The miss path of :meth:`diagnose`, also taken by the serving
-        layer's workers with the key their request computed at submit:
-        it neither probes nor digests.  The run counts as a cache miss.
-        Returns the report and the run's ``stage_metrics`` (``{}`` for a
-        tool that is not a :class:`~repro.core.pipeline.PipelineTool`).
+        The one place a tool runs for a caller: the miss path of
+        :meth:`diagnose`, also taken by the serving layer's workers with
+        the key their request computed at submit, so it neither probes
+        nor digests.  The run is named by content — the tool runs under
+        ``key[0][:12]``, the trace-digest prefix, which also seeds every
+        LLM call of the run — and the cached and stored report carry that
+        name.  Only the returned copy carries ``trace_id`` (``None``
+        keeps the run name).  The run counts as a cache miss.  Returns
+        the report and the run's ``stage_metrics`` (``{}`` for a tool
+        that is not a :class:`~repro.core.pipeline.PipelineTool`).
         """
-        report, stage_metrics = self._run_tool(log, trace_id, observers)
+        report, stage_metrics = self._run_tool(log, key[0][:12], observers)
         with self._cache_lock:
             self.cache_misses += 1
             # Never cache a degraded report: the degradation came from
@@ -224,16 +240,16 @@ class DiagnosisService:
         # atomic write happens outside the cache lock.
         if self.store is not None and not report.degraded:
             self.store.put(key, report)
-        return report, stage_metrics
+        return _labeled(report, trace_id), stage_metrics
 
     def _run_tool(
-        self, log: DarshanLog, trace_id: str, observers: Sequence[PipelineObserver]
+        self, log: DarshanLog, run_id: str, observers: Sequence[PipelineObserver]
     ) -> tuple[DiagnosisReport, dict[str, StageMetrics]]:
         if isinstance(self.tool, PipelineTool):
             # The observers see every stage of a pipeline-backed run.
-            ctx = self.tool.run(log, trace_id, observers=self.observers + tuple(observers))
+            ctx = self.tool.run(log, run_id, observers=self.observers + tuple(observers))
             return ctx.build_report(), ctx.stage_metrics
-        return self.tool.diagnose(log, trace_id=trace_id), {}
+        return self.tool.diagnose(log, trace_id=run_id), {}
 
     # -- stats (the one coherent accessor; see ServiceStats) ---------------
 

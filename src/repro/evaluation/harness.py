@@ -2,12 +2,13 @@
 
 Tools evaluated (paper Table IV rows): Drishti, ION (gpt-4o backbone),
 IOAgent-gpt-4o, and IOAgent-llama-3.1-70B.  Every tool is resolved from
-the :mod:`repro.core.registry` and driven solely through the
-:class:`~repro.core.registry.DiagnosticTool` protocol — the harness has
-no tool-specific code, so adding a row to Table IV is one
-``register_tool`` call.  For each trace the diagnosis texts are ranked by
-the gpt-4o judge on accuracy, utility, and interpretability with four
-prompt permutations, then normalized per data source via Eq. (1)-(2).
+the :mod:`repro.core.registry` and driven through its own
+:class:`~repro.core.service.DiagnosisService` — the harness has no
+tool-specific code, so adding a row to Table IV is one ``register_tool``
+call, and a row's text for a trace is the one every other caller gets.
+For each trace the diagnosis texts are ranked by the gpt-4o judge on
+accuracy, utility, and interpretability with four prompt permutations,
+then normalized per data source via Eq. (1)-(2).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.registry import DiagnosticTool, get_tool
+from repro.core.service import DiagnosisService
 from repro.evaluation.ranking import JudgeConfig, rank_candidates
 from repro.evaluation.scoring import normalized_scores
 from repro.llm.client import LLMClient
@@ -131,6 +133,7 @@ def evaluate_tools(
 ) -> EvaluationResult:
     """Run the full §VI evaluation and return scored results."""
     tools = list(tools) if tools is not None else default_tools(seed=bench.seed)
+    services = [DiagnosisService(tool=tool) for tool in tools]
     judge_config = judge_config or JudgeConfig(seed=bench.seed)
     judge_client = judge_client or LLMClient(seed=bench.seed)
     result = EvaluationResult(tool_names=[t.name for t in tools])
@@ -141,8 +144,8 @@ def evaluate_tools(
         if progress:
             progress(f"diagnosing {trace.trace_id}")
         texts = {
-            tool.name: tool.diagnose(trace.log, trace_id=trace.trace_id).text
-            for tool in tools
+            service.tool.name: service.diagnose(trace.log, trace_id=trace.trace_id).text
+            for service in services
         }
         result.texts[trace.trace_id] = texts
         result.trace_sources[trace.trace_id] = trace.source

@@ -11,9 +11,11 @@ kind (render → extract → expert rules), so the longitudinal channel is
 graded by exactly the machinery that grades counter and temporal
 evidence; nothing here writes findings by hand.
 
-Registered under the tool name ``series``; per-trace ``diagnose`` calls
-pass straight through to the wrapped tool, so the protocol contract
-("one trace in, one report out") holds even for the series tool.
+Registered under the tool name ``series``; the wrapped tool runs through
+a :class:`~repro.core.service.DiagnosisService`, and per-trace
+``diagnose`` calls pass straight through to it, so the protocol contract
+("one trace in, one report out") holds even for the series tool and a
+trace gets the text any other caller gets.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Sequence
 
 from repro.core.registry import get_tool, register_tool
 from repro.core.report import DiagnosisReport
+from repro.core.service import DiagnosisService
 from repro.darshan.log import DarshanLog
 from repro.llm.client import Usage
 from repro.llm.facts import extract_facts, render_fact
@@ -73,14 +76,16 @@ class SeriesReport:
 class SeriesDiagnosticTool:
     """Longitudinal regression monitoring over a trace series.
 
-    ``baseline`` pins a previously serialized :class:`Baseline` (loaded
-    with ``Baseline.from_json``) so a long-lived fleet monitor never
+    ``inner`` names the wrapped tool (built with ``inner_kwargs``) or is
+    the :class:`DiagnosisService` to diagnose through.  ``baseline`` pins
+    a previously serialized :class:`Baseline` (loaded with
+    ``Baseline.from_json``) so a long-lived fleet monitor never
     recomputes — or accidentally re-anchors — its reference window.
     """
 
     def __init__(
         self,
-        inner: str = "ioagent",
+        inner: str | DiagnosisService = "ioagent",
         baseline_runs: int = 3,
         threshold: float = DRIFT_THRESHOLD,
         baseline: Baseline | None = None,
@@ -91,7 +96,9 @@ class SeriesDiagnosticTool:
         self.baseline_runs = baseline_runs
         self.threshold = threshold
         self.baseline = baseline
-        self._inner = get_tool(inner, **inner_kwargs)
+        if isinstance(inner, str):
+            inner = DiagnosisService(tool=get_tool(inner, **inner_kwargs))
+        self._service = inner
 
     @property
     def name(self) -> str:
@@ -100,14 +107,14 @@ class SeriesDiagnosticTool:
     @property
     def config(self) -> object:
         """The wrapped tool's settings (None if it has none): what keys its reports."""
-        return getattr(self._inner, "config", None)
+        return getattr(self._service.tool, "config", None)
 
     def usage(self) -> Usage:
-        return self._inner.usage()
+        return self._service.tool.usage()
 
     def diagnose(self, log: DarshanLog, trace_id: str = "trace") -> DiagnosisReport:
-        """Single-trace passthrough to the wrapped tool (protocol contract)."""
-        return self._inner.diagnose(log, trace_id=trace_id)
+        """Single-trace passthrough to the wrapped tool's service (protocol contract)."""
+        return self._service.diagnose(log, trace_id=trace_id)
 
     def diagnose_series(
         self,
@@ -143,7 +150,7 @@ class SeriesDiagnosticTool:
         inflection = find_inflection(profiles, baseline, self.threshold)
 
         focus = inflection.run_index if inflection is not None else len(logs) - 1
-        report = self._inner.diagnose(logs[focus], trace_id=trace_ids[focus])
+        report = self._service.diagnose(logs[focus], trace_id=trace_ids[focus])
 
         if inflection is not None:
             fact = trend_regression_fact(

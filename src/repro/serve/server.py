@@ -25,7 +25,8 @@ request path:
   :meth:`~repro.core.service.DiagnosisService.execute`) feeds the histograms
   and the lifetime totals (:meth:`DiagnosisServer.stage_metrics`).
 
-Every result a caller receives is relabeled with *its* requested
+Runs are named by content (:meth:`~repro.core.service.DiagnosisService.execute`),
+and every result a caller receives is relabeled with *its* requested
 ``trace_id`` — coalescing and caching are invisible to response content.
 """
 
@@ -312,9 +313,7 @@ class DiagnosisServer:
             stages: dict[str, StageMetrics] = {}
             error: BaseException | None = None
             try:
-                report, stages = self.service.execute(
-                    entry.key, entry.log, trace_id=entry.key[0][:12]
-                )
+                report, stages = self.service.execute(entry.key, entry.log)
             except BaseException as exc:  # noqa: BLE001 - delivered to every waiter
                 error = exc
             self._record_run(stages, report, error)

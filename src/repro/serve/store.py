@@ -20,6 +20,10 @@ Contracts:
   calls it for degraded reports);
 * **corrupt entries are misses** — a torn/garbage file (killed writer,
   disk trouble) is treated as absent, never as an error on the read path.
+
+A stored report's ``trace_id`` is the run name the service ran it under
+(the trace-digest prefix), never a caller's label: the service relabels
+the copy it hands each caller.
 """
 
 from __future__ import annotations

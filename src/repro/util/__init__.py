@@ -2,8 +2,8 @@
 
 The helpers here are deliberately small and dependency-free (NumPy only):
 seeded random-number streams (:mod:`repro.util.rng`), byte/unit formatting
-(:mod:`repro.util.units`), text helpers (:mod:`repro.util.text`), and histogram
-and distribution statistics (:mod:`repro.util.stats`).
+(:mod:`repro.util.units`), text helpers (:mod:`repro.util.text`), and
+distribution statistics (:mod:`repro.util.stats`).
 """
 
 from repro.util.rng import derive_seed, rng_for

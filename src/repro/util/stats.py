@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["gini", "normalized_variance", "weighted_percentile", "histogram_fractions"]
+__all__ = ["gini", "normalized_variance", "weighted_percentile"]
 
 
 def gini(values: Sequence[float] | np.ndarray) -> float:
@@ -67,15 +67,3 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> fl
     cdf /= cdf[-1]
     return float(np.interp(q / 100.0, cdf, v))
 
-
-def histogram_fractions(counts: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Normalize a histogram of counts to fractions summing to 1.
-
-    Returns an all-zero array (not NaN) when the histogram is empty, so
-    summary JSON stays finite.
-    """
-    c = np.asarray(counts, dtype=np.float64)
-    total = c.sum()
-    if total == 0.0:
-        return np.zeros_like(c)
-    return c / total

@@ -1,11 +1,10 @@
-"""Text helpers shared by the SimLLM tokenizer, NL templates, and reports."""
+"""Text helpers shared by the RAG chunker and the judge."""
 
 from __future__ import annotations
 
 import re
-import textwrap
 
-__all__ = ["simple_tokens", "sentence_split", "wrap_paragraph", "slugify", "dedent_strip"]
+__all__ = ["simple_tokens", "sentence_split"]
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_/.\-]+|[^\sA-Za-z0-9]")
 _SENT_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9])")
@@ -26,17 +25,3 @@ def sentence_split(text: str) -> list[str]:
     parts = [p.strip() for p in _SENT_RE.split(text.strip())]
     return [p for p in parts if p]
 
-
-def wrap_paragraph(text: str, width: int = 88) -> str:
-    """Re-wrap a paragraph to ``width`` columns for report rendering."""
-    return textwrap.fill(" ".join(text.split()), width=width)
-
-
-def slugify(text: str) -> str:
-    """Lowercase-kebab a label for filenames and anonymized tool ids."""
-    return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
-
-
-def dedent_strip(text: str) -> str:
-    """``textwrap.dedent`` + strip, for inline prompt templates."""
-    return textwrap.dedent(text).strip()

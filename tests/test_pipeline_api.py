@@ -162,7 +162,7 @@ class TestService:
         calls_after_first = service.stats().usage.calls
         again = service.diagnose(sb01_trace.log, trace_id="t1")
         assert service.cache_hits == 1 and service.cache_misses == 1
-        assert again is first
+        assert again == first
         assert service.stats().usage.calls == calls_after_first  # no new LLM work
 
     def test_cache_hit_relabels_trace_id(self, sb01_trace):
@@ -173,10 +173,10 @@ class TestService:
         assert renamed.text == first.text
 
     def test_service_matches_direct_agent(self, sb01_trace):
-        direct = IOAgent(IOAgentConfig(seed=0)).diagnose(sb01_trace.log, trace_id="eq")
-        via_service = DiagnosisService(config=IOAgentConfig(seed=0)).diagnose(
-            sb01_trace.log, trace_id="eq"
-        )
+        service = DiagnosisService(config=IOAgentConfig(seed=0))
+        run_id = service.cache_key(sb01_trace.log)[0][:12]
+        direct = IOAgent(IOAgentConfig(seed=0)).diagnose(sb01_trace.log, trace_id=run_id)
+        via_service = service.diagnose(sb01_trace.log, trace_id="eq")
         assert via_service.text == direct.text
 
     def test_batch_collects_stage_metrics(self, bench):

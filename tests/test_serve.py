@@ -21,12 +21,15 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import DrishtiTool, IONTool
 from repro.core.agent import IOAgent, IOAgentConfig
 from repro.core.batch import diagnose_batch
 from repro.core.pipeline import PipelineContext, StageMetrics
 from repro.core.registry import ToolNotFoundError
+from repro.core.report import DiagnosisReport
 from repro.core.service import DiagnosisService, ServiceStats
 from repro.llm.client import LLMClient, Usage
 from repro.regression.series import SeriesDiagnosticTool
@@ -478,6 +481,76 @@ def _submit_and_wait(service, log, n=1):
         handle.result(timeout=120)
     server.close()
     return server, handles
+
+
+class _RunNameTool:
+    """A cheap tool whose text is the run name it was given and its record count."""
+
+    name = "run-name"
+    config = None
+
+    def diagnose(self, log, trace_id="trace"):
+        text = f"{trace_id}/{len(log.records)}"
+        return DiagnosisReport(trace_id=trace_id, model="none", text=text)
+
+    def usage(self):
+        return Usage()
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.sampled_from((0, 0, 1))),
+        st.tuples(st.just("start"), st.just(0)),
+        st.tuples(st.just("result"), st.integers(0, 30)),
+        st.tuples(st.just("resubmit"), st.integers(0, 30)),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+class TestCoalescingInterleavings:
+    """Any order of submit/start/result/resubmit on an ``autostart=False`` server."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS)
+    def test_each_caller_gets_its_own_id_and_the_content_text(self, bench, steps):
+        logs = (bench.get("sb01-small-writes").log, bench.get("sb03-misaligned-writes").log)
+        direct = DiagnosisService(tool=_RunNameTool())
+        expected = [direct.diagnose(log, trace_id="direct").text for log in logs]
+        handles: list[tuple[object, str, int]] = []  # (handle, trace id, content)
+        started = False
+
+        def check(i: int) -> None:
+            handle, trace_id, content = handles[i]
+            report = handle.result(timeout=60)
+            assert report.trace_id == trace_id
+            assert report.text == expected[content]
+
+        def submit(content: int) -> None:
+            trace_id = f"req-{len(handles)}"
+            handles.append((server.submit(logs[content], trace_id=trace_id), trace_id, content))
+
+        service = DiagnosisService(tool=_RunNameTool())
+        with DiagnosisServer(service, workers=2, autostart=False) as server:
+            for step, arg in steps:
+                if step == "submit":
+                    submit(arg)
+                elif step == "start":
+                    server.start()
+                    started = True
+                elif handles:
+                    i = arg % len(handles)
+                    if not (started or handles[i][0].done()):
+                        continue  # nothing runs before start: result() would wait forever
+                    check(i)
+                    if step == "resubmit":
+                        submit(handles[i][2])
+                        assert handles[-1][0].served_from_cache
+            server.start()
+            for i in range(len(handles)):
+                check(i)
+        assert server.counters.executed == len({content for _, _, content in handles})
 
 
 class TestOneContentKeyPerRequest:

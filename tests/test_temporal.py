@@ -286,9 +286,7 @@ class TestDifficultySplit:
     def test_batch_reports_f1_by_difficulty(self):
         from repro.core.batch import run_scenario_batch
 
-        result = run_scenario_batch(
-            ("path01-random-small-reads", "path14-lock-convoy"), max_workers=1
-        )
+        result = run_scenario_batch(("path01-random-small-reads", "path14-lock-convoy"))
         assert set(result.f1_by_difficulty) == {"easy", "hard"}
         # The convoy's ground truth is fully recoverable via DXT.
         assert result.f1_by_difficulty["hard"] == pytest.approx(1.0)

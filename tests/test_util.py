@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util.rng import derive_seed, rng_for
-from repro.util.stats import gini, histogram_fractions, normalized_variance, weighted_percentile
-from repro.util.text import dedent_strip, sentence_split, simple_tokens, slugify, wrap_paragraph
+from repro.util.stats import gini, normalized_variance, weighted_percentile
+from repro.util.text import sentence_split, simple_tokens
 from repro.util.units import GiB, KiB, MiB, format_bytes, format_count, format_duration, parse_bytes
 
 
@@ -94,14 +94,6 @@ class TestStats:
         with pytest.raises(ValueError):
             weighted_percentile(np.array([1.0]), np.array([1.0, 2.0]), 50)
 
-    @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=20))
-    def test_histogram_fractions_sum(self, counts):
-        fr = histogram_fractions(counts)
-        if sum(counts) == 0:
-            assert np.allclose(fr, 0.0)
-        else:
-            assert fr.sum() == pytest.approx(1.0)
-
 
 class TestText:
     def test_simple_tokens_keeps_numbers_and_paths(self):
@@ -111,13 +103,3 @@ class TestText:
     def test_sentence_split(self):
         s = sentence_split("One sentence. Another one! A third? Done.")
         assert len(s) == 4
-
-    def test_wrap_paragraph_width(self):
-        text = wrap_paragraph("word " * 60, width=40)
-        assert all(len(line) <= 40 for line in text.splitlines())
-
-    def test_slugify(self):
-        assert slugify("Hello, World! 2x") == "hello-world-2x"
-
-    def test_dedent_strip(self):
-        assert dedent_strip("\n    a\n    b\n") == "a\nb"
