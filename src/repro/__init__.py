@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "8.0.0"  # major: runs are named by content; run_batch lost max_workers
+__version__ = "9.0.0"  # major: PipelineContext.module_tables is a read-only, built-when-read mapping
 
 __all__ = [
     # tools

@@ -264,7 +264,9 @@ def _with_holds_lock(node: ast.With, lock: str) -> bool:
     return False
 
 
-_MUTATING_METHODS = frozenset({"clear", "pop", "popitem", "setdefault", "update", "__setitem__"})
+_MUTATING_METHODS = frozenset(
+    {"clear", "pop", "popitem", "setdefault", "update", "__setitem__", "move_to_end"}
+)
 
 
 class _LockVisitor(ast.NodeVisitor):

@@ -56,13 +56,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.core.describe import context_sentences, describe_fragment
 from repro.core.diagnose import diagnose_fragment
 from repro.core.integrate import IntegrationResult, integrate_fragment
 from repro.core.merge import one_step_merge, tree_merge
-from repro.core.preprocess import ModuleTable, split_modules
+from repro.core.preprocess import ModuleTable, ModuleTables
 from repro.core.report import DiagnosisReport
 from repro.core.summaries import (
     SummaryFragment,
@@ -181,7 +181,7 @@ class PipelineContext:
     retriever: Retriever | None = None
 
     # Stage products, in pipeline order.
-    module_tables: dict[str, ModuleTable] = field(default_factory=dict)
+    module_tables: Mapping[str, ModuleTable] = field(default_factory=dict)
     fragments: list[SummaryFragment] = field(default_factory=list)
     app_facts: list[Fact] = field(default_factory=list)
     context: str = ""
@@ -308,14 +308,21 @@ class PipelineTool(Protocol):
 
 
 class PreprocessStage:
-    """Module-based pre-processor: split the log into per-module tables."""
+    """Module-based pre-processor: the log's per-module tables.
+
+    ``ctx.module_tables`` becomes a read-only
+    :class:`~repro.core.preprocess.ModuleTables`, equal to
+    :func:`~repro.core.preprocess.split_modules` of the log, whose tables
+    are built on first access.  No default stage reads them (the summary
+    extractors read the log's records), so a run builds none.
+    """
 
     name = "preprocess"
-    failure_mode = "abort"  # everything downstream reads its tables
+    failure_mode = "abort"  # no later stage reads its tables; a failure is a bug
     channel = ""
 
     def run(self, ctx: PipelineContext) -> None:
-        ctx.module_tables = split_modules(ctx.log)
+        ctx.module_tables = ModuleTables(ctx.log)
 
 
 class SummarizeStage:

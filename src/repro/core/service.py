@@ -11,7 +11,8 @@ belong inside a tool:
   text is a function of content, tool and config, and the caller's
   ``trace_id`` is a label applied last;
 * **caching** — per-trace results memoized by ``(trace digest, tool,
-  config)``, so re-diagnosing an unchanged log is free;
+  config)``, so re-diagnosing an unchanged log is free; memory holds the
+  ``MEMORY_CACHE_CAPACITY`` most recently used reports;
 * **shared resources** — one tool instance (and therefore one memoized
   RAG index) serves the whole service lifetime instead of being rebuilt
   per call;
@@ -27,6 +28,7 @@ per-stage record (:meth:`DiagnosisService.execute`) into its telemetry.  Batches
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from threading import Lock
 from typing import TYPE_CHECKING, Sequence
@@ -42,7 +44,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import IOAgentConfig
     from repro.serve.store import ResultStore
 
-__all__ = ["ServiceStats", "DiagnosisService", "trace_digest"]
+__all__ = ["MEMORY_CACHE_CAPACITY", "ServiceStats", "DiagnosisService", "trace_digest"]
+
+# Reports one service keeps in memory; the least recently used is evicted
+# first.  Far above the distinct traces any harness or gate puts through
+# one service (at most the 77 registered scenarios), so only a
+# long-running server evicts.
+MEMORY_CACHE_CAPACITY = 1024
 
 
 def trace_digest(log: DarshanLog) -> str:
@@ -115,8 +123,11 @@ class DiagnosisService:
     and wrapped): lookups fall back memory → store → run, store hits are
     promoted into memory, and every non-degraded result is persisted, so
     a *fresh process* pointed at the same store serves known digests with
-    zero LLM calls.  Cached and stored reports carry the run name; every
-    report handed to a caller is a copy relabeled with its ``trace_id``.
+    zero LLM calls.  Memory holds at most ``MEMORY_CACHE_CAPACITY``
+    reports and evicts the least recently used; an evicted key comes back
+    from the store when one backs the service, and runs again otherwise.
+    Cached and stored reports carry the run name; every report handed to
+    a caller is a copy relabeled with its ``trace_id``.
     """
 
     def __init__(
@@ -137,7 +148,7 @@ class DiagnosisService:
             )
         self.tool: DiagnosticTool = tool
         self.observers = tuple(observers)
-        self._cache: dict[tuple[str, str, str], DiagnosisReport] = {}
+        self._cache: OrderedDict[tuple[str, str, str], DiagnosisReport] = OrderedDict()
         self._cache_lock = Lock()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -175,18 +186,35 @@ class DiagnosisService:
         ``store_hits``; misses count nothing (only an actual run records
         a miss).
         """
+        hit = self.cached(key, trace_id)
+        if hit is not None or self.store is None:
+            return hit
+        report = self.store.get(key)
+        if report is None:
+            return None
+        with self._cache_lock:
+            self.store_hits += 1
+            # Promote: later identical requests hit memory.
+            self._cache.setdefault(key, report)
+            self._cache.move_to_end(key)
+            if len(self._cache) > MEMORY_CACHE_CAPACITY:
+                self._cache.popitem(last=False)
+        return _labeled(report, trace_id)
+
+    def cached(self, key: tuple[str, str, str], trace_id: str = "trace") -> DiagnosisReport | None:
+        """Serve ``key`` from the memory cache alone, or None.
+
+        The part of :meth:`lookup` that does no store I/O, so the serving
+        layer can repeat it under its own lock.  A hit counts toward
+        ``cache_hits`` and makes the entry the most recently used.
+        """
         with self._cache_lock:
             report = self._cache.get(key)
-            if report is not None:
-                self.cache_hits += 1
-        if report is None and self.store is not None:
-            report = self.store.get(key)
-            if report is not None:
-                with self._cache_lock:
-                    self.store_hits += 1
-                    # Promote: later identical requests hit memory.
-                    self._cache.setdefault(key, report)
-        return None if report is None else _labeled(report, trace_id)
+            if report is None:
+                return None
+            self.cache_hits += 1
+            self._cache.move_to_end(key)
+        return _labeled(report, trace_id)
 
     def diagnose(
         self,
@@ -236,6 +264,9 @@ class DiagnosisService:
             # same digest must not be served a degraded answer.
             if not report.degraded:
                 self._cache.setdefault(key, report)
+                self._cache.move_to_end(key)
+                if len(self._cache) > MEMORY_CACHE_CAPACITY:
+                    self._cache.popitem(last=False)
         # Same rule for the persistent store (put() enforces it too); the
         # atomic write happens outside the cache lock.
         if self.store is not None and not report.degraded:

@@ -6,11 +6,17 @@ nuanced judgment than raw cosine rank.  The handler extracts the facts
 from the fragment description, derives the topics those facts implicate,
 and accepts the source iff its topic coverage intersects; a small seeded
 flip probability models the cheap model's imperfection.
+
+A fragment's ~15 sources are judged back to back on the run's thread
+(:func:`~repro.rag.reflection.reflect_filter`), each prompt carrying the
+same description, so the handler derives a description's topics once per
+fragment (see :func:`handle_relevance`).
 """
 
 from __future__ import annotations
 
 import re
+import threading
 
 import numpy as np
 
@@ -46,8 +52,17 @@ _KIND_TOPICS = {
 }
 
 
+# The last description judged on this thread, with its topics.
+_last_judged = threading.local()
+
+
 def fact_topics(description: str) -> set[str]:
-    """Topics implicated by a fragment description's facts and findings."""
+    """Topics implicated by a fragment description's facts and findings.
+
+    A pure function of the text: every fact regex plus every expert rule,
+    which is most of a relevance judgment's cost.  The handler calls it
+    once per fragment, not once per source (see :func:`handle_relevance`).
+    """
     facts = extract_facts(description)
     topics: set[str] = set()
     for fact in facts:
@@ -71,13 +86,34 @@ def build_relevance_prompt(description: str, source_text: str) -> str:
     )
 
 
+def _description_topics(description: str) -> frozenset[str]:
+    """``fact_topics(description)``, derived once for equal texts judged in a row."""
+    entry = getattr(_last_judged, "entry", None)
+    if entry is None or entry[0] != description:
+        entry = _last_judged.entry = (description, frozenset(fact_topics(description)))
+    return entry[1]
+
+
 @register_task("relevance")
 def handle_relevance(visible: str, model: ModelProfile, rng: np.random.Generator) -> str:
+    """Judge one source against one fragment description.
+
+    The description's topics come from a one-entry memo per thread: the
+    last description text judged on this thread and its
+    :func:`fact_topics`.  A fragment's sources are judged back to back on
+    one thread, so its topics are derived once and the next fragment
+    replaces the entry.  The memo is keyed by the exact text, so it cannot
+    change an answer.  It is per thread because server workers judge
+    different fragments at the same time.  It holds one entry, so a
+    derivation serves only the judgments that follow it back to back: a
+    memo kept across requests would turn a repeat of the same content into
+    a warm run.
+    """
     parts = visible.split("FRAGMENT DESCRIPTION:", 1)
     if len(parts) < 2 or "SOURCE:" not in parts[1]:
         return "IRRELEVANT: the prompt does not contain a description and a source."
     description, source = parts[1].split("SOURCE:", 1)
-    wanted = fact_topics(description)
+    wanted = _description_topics(description)
     m = _TOPICS_RE.search(source)
     source_topics = (
         {t.strip() for t in m.group(1).split(",")} if m else set()

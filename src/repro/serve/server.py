@@ -15,7 +15,8 @@ request path:
   identical requests costs exactly one pipeline run (and one LLM bill);
 * **submit-time cache service** — requests whose key is already in the
   service's memory cache or persistent store resolve immediately without
-  consuming a queue slot;
+  consuming a queue slot, including one whose run finished while it was
+  being probed;
 * **deterministic telemetry** — per-stage latency histograms (modeled from
   the run's LLM usage by default, measured wall seconds with
   ``wall_clock=True``), a queue-depth histogram sampled at every enqueue,
@@ -246,27 +247,40 @@ class DiagnosisServer:
         :class:`QueueFullError` when ``queue_depth`` requests are already
         pending).  The content key is computed here, once; the probe, the
         coalescing table and the worker's store write all use it.
+
+        Two guarantees hold however requests interleave with runs and
+        with :meth:`close`.  A request whose content finishes running
+        between its probe and its admission is served from the memory
+        cache, not run again: a run caches its report before it leaves
+        the in-flight table, and when no run of the key is in flight the
+        memory cache is probed again under the server lock.  A request
+        that would be queued after :meth:`close` raises
+        :class:`ServerClosedError`, rather than waiting on an entry no
+        worker takes.
         """
         with self._lock:
             if self._closed:
                 raise ServerClosedError("server is closed")
         key = self.service.cache_key(log)
-
         cached = self.service.lookup(key, trace_id=trace_id)
-        if cached is not None:
-            entry = _Entry(key, log)
-            entry.resolve(cached, None)
-            with self._lock:
-                self.counters.submitted += 1
-                self.counters.cache_served += 1
-            return PendingDiagnosis(entry, trace_id, coalesced=False, cached=True)
 
         with self._lock:
-            inflight = self._inflight.get(key)
-            if inflight is not None:
+            if cached is None:
+                if self._closed:  # close() ran since the check above
+                    raise ServerClosedError("server is closed")
+                inflight = self._inflight.get(key)
+                if inflight is not None:
+                    self.counters.submitted += 1
+                    self.counters.coalesced += 1
+                    return PendingDiagnosis(inflight, trace_id, coalesced=True, cached=False)
+                # Memory only: no store I/O under the server lock.
+                cached = self.service.cached(key, trace_id)
+            if cached is not None:
+                entry = _Entry(key, log)
+                entry.resolve(cached, None)
                 self.counters.submitted += 1
-                self.counters.coalesced += 1
-                return PendingDiagnosis(inflight, trace_id, coalesced=True, cached=False)
+                self.counters.cache_served += 1
+                return PendingDiagnosis(entry, trace_id, coalesced=False, cached=True)
             if len(self._queue) >= self.queue_depth:
                 self.counters.rejected += 1
                 raise QueueFullError(self.queue_depth)

@@ -553,6 +553,111 @@ class TestCoalescingInterleavings:
         assert server.counters.executed == len({content for _, _, content in handles})
 
 
+class _LateMissService(DiagnosisService):
+    """Its probe misses, then returns only once ``on_miss`` has run."""
+
+    def __init__(self) -> None:
+        super().__init__(tool=_RunNameTool())
+        self.on_miss = None
+
+    def lookup(self, key, trace_id="trace"):
+        report = super().lookup(key, trace_id)
+        if report is None and self.on_miss is not None:
+            self.on_miss()
+        return report
+
+
+class TestSubmitRaces:
+    """``submit`` against runs finishing and ``close()``, at the worst moment."""
+
+    def test_run_finishing_between_probe_and_admission_is_served_from_cache(self, sb01_trace):
+        service = _LateMissService()
+        server = DiagnosisServer(service, workers=1, autostart=False)
+        first = server.submit(sb01_trace.log, trace_id="first")
+
+        def finish_first_run() -> None:
+            # The second request has missed; the run it missed finishes
+            # now, caching its report and leaving the in-flight table.
+            server.start()
+            first.result(timeout=60)
+
+        service.on_miss = finish_first_run
+        second = server.submit(sb01_trace.log, trace_id="second")
+        service.on_miss = None
+        assert second.served_from_cache and second.done()
+        assert second.result(timeout=5).trace_id == "second"
+        assert second.result().text == first.result().text
+        server.close()
+        assert server.counters.executed == 1
+        assert server.counters.cache_served == 1 and server.counters.submitted == 2
+        assert service.stats().cache_hits == 1
+
+    @pytest.mark.parametrize("autostart", [True, False])
+    def test_submit_racing_close_raises(self, sb01_trace, autostart):
+        service = _LateMissService()
+        server = DiagnosisServer(service, workers=1, autostart=autostart)
+        service.on_miss = server.close
+        with pytest.raises(ServerClosedError):
+            server.submit(sb01_trace.log, trace_id="late")
+        assert server.counters.submitted == 0
+        assert server.counters.executed == 0
+
+
+def _key(i: int) -> tuple[str, str, str]:
+    """A distinct content key, with no trace behind it to digest."""
+    return (f"{i:064x}", "run-name", "None")
+
+
+class TestMemoryCacheBound:
+    """The memory cache keeps the ``MEMORY_CACHE_CAPACITY`` most recently used."""
+
+    def test_capacity_plus_one_evicts_the_least_recently_used(self, sb01_trace):
+        from repro.core.service import MEMORY_CACHE_CAPACITY
+
+        service = DiagnosisService(tool=_RunNameTool())
+        keys = [_key(i) for i in range(MEMORY_CACHE_CAPACITY)]
+        for key in keys:
+            service.execute(key, sb01_trace.log)
+        assert service.lookup(keys[0]) is not None  # key 0 is now the most recent
+        extra = _key(MEMORY_CACHE_CAPACITY)
+        service.execute(extra, sb01_trace.log)
+
+        stats = service.stats()
+        assert len(stats.cached_reports) == MEMORY_CACHE_CAPACITY
+        assert service.lookup(keys[1]) is None  # the least recently used went
+        assert service.lookup(keys[0]) is not None
+        assert service.lookup(extra) is not None
+        assert service.stats().cache_misses == MEMORY_CACHE_CAPACITY + 1
+
+    def test_evicted_key_is_served_as_a_store_hit(self, tmp_path, sb01_trace, monkeypatch):
+        monkeypatch.setattr("repro.core.service.MEMORY_CACHE_CAPACITY", 2)
+        service = DiagnosisService(tool=_RunNameTool(), store=str(tmp_path))
+        keys = [_key(i) for i in range(3)]
+        for key in keys:
+            service.execute(key, sb01_trace.log)
+        assert len(service.stats().cached_reports) == 2
+        report = service.lookup(keys[0], trace_id="back")
+        assert report is not None and report.trace_id == "back"
+        assert report.text == f"{keys[0][0][:12]}/{len(sb01_trace.log.records)}"
+        stats = service.stats()
+        assert (stats.store_hits, stats.cache_hits, stats.cache_misses) == (1, 0, 3)
+        # Promoted back into memory, evicting the least recently used (key 1).
+        assert len(stats.cached_reports) == 2
+        assert service.cached(keys[1]) is None
+        assert service.cached(keys[0]) is not None and service.cached(keys[2]) is not None
+        assert service.stats().cache_hits == 2
+
+    def test_evicted_key_without_a_store_runs_again(self, bench, monkeypatch):
+        monkeypatch.setattr("repro.core.service.MEMORY_CACHE_CAPACITY", 1)
+        service = DiagnosisService(tool=_RunNameTool())
+        logs = [bench.get(t).log for t in ("sb01-small-writes", "sb03-misaligned-writes")]
+        first = service.diagnose(logs[0], trace_id="a")
+        service.diagnose(logs[1], trace_id="b")
+        again = service.diagnose(logs[0], trace_id="a")
+        assert again == first
+        assert service.stats().cache_misses == 3 and service.stats().cache_hits == 0
+
+
 class TestOneContentKeyPerRequest:
     """Each request digests its trace once, from submit to the store write."""
 
