@@ -6,7 +6,7 @@ import hashlib
 import re
 
 import pytest
-from darshan_oracle import oracle_parse_with_report
+from darshan_oracle import oracle_parse_dxt_text, oracle_parse_with_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,8 @@ from repro.darshan.counters import (
     size_bin_index,
     size_counters,
 )
-from repro.darshan.dxt import collect_segments, dxt_digest
+from repro.darshan import parser as parser_module
+from repro.darshan.dxt import collect_segments, dxt_digest, parse_dxt_text
 from repro.darshan.instrument import DarshanInstrument
 from repro.darshan.log import MODULE_ORDER, DarshanLog, JobHeader
 from repro.darshan.parser import (
@@ -524,3 +525,154 @@ class TestLenientDamageSweep:
         assert lenient == _outcome(oracle_parse_with_report, damaged, True)
         strict = _outcome(parse_darshan_text_with_report, damaged, False)
         assert strict == _outcome(oracle_parse_with_report, damaged, False)
+
+
+# -- block edges and DXT lines under the oracle -------------------------------
+
+
+_BLOCK_SIZES = (1, 64, 4096)
+
+
+class TestBlockEdges:
+    """Record runs, the order check and the DXT marker straddling block edges.
+
+    Every text above fits in one 1 MiB block; with blocks of 1, 64 and
+    4096 characters a run, a record or the DXT marker line meets an edge.
+    """
+
+    @pytest.mark.parametrize("block", _BLOCK_SIZES)
+    @pytest.mark.parametrize("base", sorted(_BASE_TEXTS))
+    def test_rendered_text(self, base, block, monkeypatch):
+        monkeypatch.setattr(parser_module, "_BLOCK_CHARS", block)
+        text = _BASE_TEXTS[base]()
+        _assert_matches_oracle(text)
+        assert parse_darshan_text(text).counter_table.memo is not None
+
+    @settings(max_examples=100, deadline=None)
+    @given(_edited_traces(), st.sampled_from(_BLOCK_SIZES))
+    def test_edited_and_damaged_text(self, text, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parser_module, "_BLOCK_CHARS", block)
+            _assert_matches_oracle(text)
+
+
+_DXT_EDITS = ("legacy", "spaced-path", "separators", "int", "float", "operation", "ost", "line")
+
+
+@st.composite
+def _edited_dxt_traces(draw):
+    """path14 rendered with its DXT section, some segment lines edited."""
+    lines = _BASE_TEXTS["path14"]().split("\n")
+    marker = next(i for i, line in enumerate(lines) if line.startswith("# DXT trace"))
+    segments = range(marker + 1, len(lines) - 1)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.sampled_from(segments))
+        fields = lines[i].split()
+        separator = " "
+        op = draw(st.sampled_from(_DXT_EDITS))
+        if len(fields) < 10:  # already edited down: leave it
+            continue
+        if op == "legacy":  # the pre-ost nine-field line
+            del fields[8]
+        elif op == "spaced-path":
+            fields[-1] += draw(st.sampled_from([" copy", "  b  c", " 7", " -", "\tx"]))
+        elif op == "separators":
+            separator = draw(st.sampled_from(["\t", "   ", " \t ", "\t\t"]))
+        elif op == "int":
+            at = draw(st.sampled_from([1, 4, 5]))
+            bad = ["x", "1.5", "+3", "1_0", "--1", "-7", "007", "\u0663"]
+            fields[at] = draw(st.sampled_from(bad))
+        elif op == "float":
+            at = draw(st.sampled_from([6, 7]))
+            fields[at] = draw(st.sampled_from(["x", "1e3", "nan", "-.5", "1..2", "7", "-0.0000"]))
+        elif op == "operation":
+            fields[2] = draw(st.sampled_from(["READ", "wr", "writes", "read.", "r"]))
+        elif op == "ost":
+            fields[8] = draw(st.sampled_from(["-", "0", "7", "12", "007", "-3", "x"]))
+        else:  # a shorter line, a comment, a blank or a CR line end
+            crlf = fields[:-1] + [fields[-1] + "\r"]
+            fields = draw(st.sampled_from([fields[:5], ["#", "note"], [" "], crlf]))
+        lines[i] = separator.join(fields)
+    return "\n".join(lines)
+
+
+class TestDxtLinesMatchOracle:
+    """The bulk DXT reader reads edited segment lines as the oracle does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edited_dxt_traces())
+    def test_edited_segment_lines(self, text):
+        _assert_matches_oracle(text)
+        section = text[text.index("# DXT trace") :]
+        for lenient in (False, True):
+            outcomes = []
+            for parse in (parse_dxt_text, oracle_parse_dxt_text):
+                skipped: list = []
+                try:
+                    table = parse(section, lenient=lenient, skipped=skipped)
+                except ValueError as exc:
+                    outcomes.append(("raised", type(exc), str(exc)))
+                    continue
+                outcomes.append((dxt_digest(table), len(table), skipped))
+            assert outcomes[0] == outcomes[1]
+
+
+class TestEmptyValueField:
+    """A counter line whose value field is empty fails as int('') does."""
+
+    TEXT = (
+        "# exe: /bin/x\n# uid: 1\n# jobid: 1\n# start_time: 1\n# end_time: 2\n"
+        "# nprocs: 1\n# run time: 1.0\n"
+        "POSIX\t0\t1\tPOSIX_READS\t\t/p\t/m\tfs\n"
+        "POSIX\t0\t1\tPOSIX_WRITES\t12\t/p\t/m\tfs\n"
+    )
+
+    def test_strict_and_lenient(self):
+        _assert_matches_oracle(self.TEXT)
+        with pytest.raises(DarshanParseError, match="line 8: invalid literal for int"):
+            parse_darshan_text(self.TEXT)
+        log, report = parse_darshan_text_with_report(self.TEXT, lenient=True)
+        assert report.skipped_count == 1
+        assert log.records[0].counters == {"POSIX_WRITES": 12}
+
+
+class TestRunsSplitAtTails:
+    """Lines that share a head but not a tail belong to different records."""
+
+    @pytest.mark.parametrize("lines_kept", [1, None])  # one line of record 1, or all
+    @pytest.mark.parametrize("block", [4096, 1 << 20])  # checked one run at a time; word by word
+    def test_shared_head(self, block, lines_kept, monkeypatch):
+        monkeypatch.setattr(parser_module, "_BLOCK_CHARS", block)
+        lines = _BASE_TEXTS["sb01"]().split("\n")
+        heads = list(
+            dict.fromkeys("\t".join(line.split("\t")[:3]) for line in lines if line[:6] == "POSIX\t")
+        )
+        second = [i for i, line in enumerate(lines) if line.startswith(heads[1] + "\t")]
+        for i in reversed(second[lines_kept:] if lines_kept else []):
+            del lines[i]
+        # Record 1 now opens with record 0's head, right after record 0's lines.
+        text = "\n".join(lines).replace(heads[1] + "\t", heads[0] + "\t")
+        _assert_matches_oracle(text)
+        assert len(parse_darshan_text(text).records_for("POSIX")) == len(heads)
+
+
+class TestOneOddLineBreak:
+    """A text without a final newline and with one other line break splits there."""
+
+    @pytest.mark.parametrize("brk", ["\x1c", "\r", "\x0b"])
+    def test_unterminated_text(self, brk):
+        text = _BASE_TEXTS["sb01"]().rstrip("\n")
+        at = text.index("POSIX_WRITES")
+        _assert_matches_oracle(text[:at] + brk + text[at:])
+
+
+class TestJobTimeOutOfRange:
+    """A job time the writer cannot render still parses, as the oracle parses it."""
+
+    def test_start_time_beyond_int64(self):
+        text = _BASE_TEXTS["sb01"]()
+        text = re.sub(r"^# start_time: .*$", "# start_time: 1" + "0" * 20, text, count=1, flags=re.M)
+        for lenient in (False, True):  # its digest cannot render the header either
+            new = _outcome(parse_darshan_text_with_report, text, lenient)
+            assert new == _outcome(oracle_parse_with_report, text, lenient)
+        assert parse_darshan_text(text).counter_table.memo is None
