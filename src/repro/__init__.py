@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "9.1.0"  # minor: repro.darshan.dxt.read_dxt_section (a DXT section and its line count)
+__version__ = "9.0.0"  # major: PipelineContext.module_tables is a read-only, built-when-read mapping
 
 __all__ = [
     # tools

@@ -6,8 +6,8 @@ extension: per-operation event records (file, rank, operation, offset,
 length, start/end time — the fields DXT captures) taken from the data
 rows of the runtime's executed-op table, the same table the counter
 instrumentation reduces, a ``darshan-dxt-parser``-style text rendering
-(and its inverse, read a column at a time), and the temporal analysis a
-DXT-aware IOAgent summary category can feed the LLM.
+(and its inverse), and the temporal analysis a DXT-aware IOAgent summary
+category can feed the LLM.
 
 Segments are stored columnar (:class:`~repro.darshan.segtable.
 SegmentTable`, one numpy array per field) and every kernel here is a
@@ -25,11 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.darshan.bytefields import PAD, byte_rows, decimals, same_as_previous, span_groups
 from repro.darshan.segtable import (
     NO_OST,
     READ_CODE,
-    WRITE_CODE,
     DxtSegment,
     SegmentTable,
     SegmentTableBuilder,
@@ -48,7 +46,6 @@ __all__ = [
     "collect_segments",
     "render_dxt_text",
     "parse_dxt_text",
-    "read_dxt_section",
     "parse_dxt_lines",
     "dxt_digest",
     "dxt_timeline_facts",
@@ -246,26 +243,7 @@ def parse_dxt_text(
     ``skipped`` (when given) as ``(lineno, line, reason)`` so callers can
     fold them into a :class:`~repro.darshan.parser.ParseReport`.
     """
-    return read_dxt_section(text, lenient=lenient, skipped=skipped)[0]
-
-
-def read_dxt_section(
-    text: str,
-    *,
-    lenient: bool = False,
-    skipped: list[tuple[int, str, str]] | None = None,
-) -> tuple[SegmentTable, int]:
-    """:func:`parse_dxt_text`, plus the number of lines the text has.
-
-    ASCII text whose only control bytes are newlines and tabs is read in
-    bulk (:class:`_DxtFields`); other text goes line by line through
-    :func:`parse_dxt_lines`.  Both read every line alike.
-    """
-    fields = _DxtFields.scan(text)
-    if fields is None:
-        lines = text.splitlines()
-        return parse_dxt_lines(lines, lenient=lenient, skipped=skipped), len(lines)
-    return fields.table(lenient, skipped), fields.n_lines
+    return parse_dxt_lines(text.splitlines(), lenient=lenient, skipped=skipped)
 
 
 def _converted(tokens: Sequence[str], convert, errors: dict[int, str], few: bool = False) -> list:
@@ -319,8 +297,6 @@ def parse_dxt_lines(
 
     Each line is split once; the fields are then checked and converted a
     whole column at a time and handed to the table builder in bulk.
-    :func:`read_dxt_section` reads text this way when it is not plain
-    ASCII with newline, tab and space separators.
     """
     stripped = list(map(str.strip, lines))
     kept = [i for i, line in enumerate(stripped) if line and line[0] != "#"]
@@ -374,228 +350,6 @@ def parse_dxt_lines(
     builder = SegmentTableBuilder()
     builder.extend(module, columns[0], path, operation, *columns[1:])
     return builder.build()
-
-
-class _DxtFields:
-    """The segment lines of a DXT section, located as byte offsets.
-
-    Lines end at newlines; fields are separated by runs of spaces and
-    tabs, as ``str.split()`` separates them in ASCII text.  Numbers are
-    read a column at a time (:func:`~repro.darshan.bytefields.decimals`),
-    strings once per distinct value, and each segment line is read as
-    :func:`parse_dxt_lines` reads it: the same fields, legacy nine-field
-    lines, error messages and skipped lines.
-    """
-
-    def __init__(
-        self, text: str, data: bytes, line_start: np.ndarray, line_end: np.ndarray
-    ) -> None:
-        self.text = text
-        self.data = data
-        self.full = np.frombuffer(data, dtype=np.uint8)
-        self.n_lines = line_start.size
-        size = len(text)
-        # Token boundaries: where a run of non-space bytes starts and ends.
-        space = np.ones(size + 2, dtype=bool)
-        np.less_equal(self.full[:size], 32, out=space[1:-1])
-        edges = (space[1:] != space[:-1]).nonzero()[0]
-        tok_start, tok_end = edges[0::2], edges[1::2]
-        first = np.searchsorted(tok_start, line_start)
-        ntok = np.searchsorted(tok_start, line_end) - first
-        # A segment line has a token and does not open with "#".
-        lead = self.full[tok_start[np.minimum(first, tok_start.size - 1)]] if tok_start.size else 35
-        self.line = ((ntok > 0) & (lead != 35)).nonzero()[0]
-        first, self.ntok = first[self.line], ntok[self.line]
-        n = first.size
-        if n and (self.ntok == 10).all() and first[-1] - first[0] == 10 * (n - 1):
-            # Ten tokens on every segment line, and nothing between them.
-            self.start = tok_start[first[0] : first[0] + 10 * n].reshape(n, 10)
-            self.end = tok_end[first[0] : first[0] + 10 * n].reshape(n, 10)
-            self.line_end = self.end[:, 9]
-        else:
-            at = np.minimum(first[:, None] + np.arange(10), tok_start.size - 1)
-            self.start, self.end = tok_start[at], tok_end[at]  # the first ten tokens
-            self.line_end = tok_end[first + self.ntok - 1]  # where the stripped line ends
-
-    @classmethod
-    def scan(cls, text: str) -> "_DxtFields | None":
-        """The bulk reader of ``text``, or ``None`` if it has other line breaks or separators."""
-        if not text.isascii():
-            return None
-        data = text.encode("ascii") + PAD
-        full = np.frombuffer(data, dtype=np.uint8)
-        size = len(text)
-        ctl = (full[:size] < 32).nonzero()[0]
-        kinds = full[ctl]
-        newline = kinds == 10
-        if not (newline | (kinds == 9)).all():
-            return None
-        line_end = ctl[newline]
-        if size and text[-1] != "\n":
-            line_end = np.append(line_end, size)
-        line_start = np.empty(line_end.size, dtype=np.int64)
-        line_start[:1] = 0
-        line_start[1:] = line_end[:-1] + 1
-        return cls(text, data, line_start, line_end)
-
-    def _token(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.start[:, k], self.end[:, k]
-
-    def table(self, lenient: bool, skipped: list[tuple[int, str, str]] | None) -> SegmentTable:
-        n = self.line.size
-        if not n:
-            return SegmentTable.empty()
-        text, data, full = self.text, self.data, self.full
-        ntok = self.ntok
-        errors: dict[int, str] = {}
-        for i in (ntok < 9).nonzero()[0].tolist():
-            errors[i] = (
-                f"DXT line {int(self.line[i]) + 1}: expected 9 or 10 whitespace-separated "
-                f"fields, got {int(ntok[i])}"
-            )
-        # The ninth token is the ost when it is "-" or digits; a line
-        # without one is a legacy line whose path starts at that token.
-        ost_start, ost_end = self._token(8)
-        ost_read = decimals(data, full, ost_start, ost_end, spelling=False)
-        dash = (ost_end - ost_start == 1) & (full[ost_start] == 45)
-        digits = ost_read.plain & ~ost_read.is_float & (full[ost_start] != 45)
-        for i in ((ntok >= 10) & ~ost_read.plain).nonzero()[0].tolist():
-            digits[i] = text[int(ost_start[i]) : int(ost_end[i])].isdigit()
-        attributed = (ntok >= 10) & (dash | digits)
-        path_start = np.where(attributed, self.start[:, 9], ost_start)
-        # Operation: "read" or "write".
-        op_start, op_end = self._token(2)
-        op_word = byte_rows(data, op_start, 8).view("<u8")
-        op_word &= _OP_MASKS[np.minimum(op_end - op_start, 8)]
-        is_read = op_word == _READ_WORD
-        for i in (~is_read & (op_word != _WRITE_WORD)).nonzero()[0].tolist():
-            if i not in errors:
-                op = text[int(op_start[i]) : int(op_end[i])]
-                errors[i] = (
-                    f"DXT line {int(self.line[i]) + 1}: unknown operation {op!r} "
-                    "(expected read/write)"
-                )
-        columns = []
-        for k, convert in ((1, int), (4, int), (5, int), (6, float), (7, float)):
-            columns.append(self._numbers(k, convert, errors))
-        ost = np.where(attributed & ~dash, ost_read.ints, NO_OST)
-        big_ost = {}
-        for i in (attributed & digits & ~ost_read.plain).nonzero()[0].tolist():
-            big_ost[i] = int(text[int(ost_start[i]) : int(ost_end[i])])
-        keep = np.ones(n, dtype=bool)
-        if errors:
-            if not lenient:
-                raise ValueError(errors[min(errors)])
-            bad = sorted(errors)
-            if skipped is not None:
-                skipped.extend(
-                    (
-                        int(self.line[i]) + 1,
-                        text[int(self.start[i, 0]) : int(self.line_end[i])],
-                        errors[i],
-                    )
-                    for i in bad
-                )
-            keep[bad] = False
-        rows = keep.nonzero()[0] if errors else slice(None)
-        module_code, modules = self._strings(self.start[rows, 0], self.end[rows, 0])
-        path_code, paths = self._strings(path_start[rows], self.line_end[rows])
-        module_code = _codes(module_code, np.uint8)
-        rank, offset, length, start, end = (
-            _column(values, big, rows, dtype)
-            for (values, big), dtype in zip(
-                columns, (np.int64, np.int64, np.int64, np.float64, np.float64)
-            )
-        )
-        return SegmentTable(
-            modules=modules,
-            paths=paths,
-            module_code=module_code,
-            path_code=path_code.astype(np.int32),
-            op_code=np.where(is_read[rows], READ_CODE, WRITE_CODE).astype(np.uint8),
-            rank=rank,
-            offset=offset,
-            length=length,
-            start=start,
-            end=end,
-            ost=_column(ost, big_ost, rows, np.int32),
-        )
-
-    def _numbers(self, k: int, convert, errors: dict[int, str]) -> tuple[np.ndarray, dict]:
-        """Token ``k`` of every line through ``convert`` (int or float), in bulk where plain.
-
-        Returns the values and, for values too big for the column, the
-        Python ints by line; a line's first error goes into ``errors``.
-        """
-        vs, ve = self._token(k)
-        read = decimals(self.data, self.full, vs, ve, spelling=False)
-        if convert is int:
-            values, bulk = read.ints, read.plain & ~read.is_float
-        else:
-            values, bulk = read.floats, read.plain
-        big: dict[int, int] = {}
-        for i in (~bulk & (self.ntok >= 9)).nonzero()[0].tolist():
-            token = self.text[int(vs[i]) : int(ve[i])]
-            try:
-                value = convert(token)
-            except ValueError as exc:
-                errors.setdefault(i, str(exc))
-                continue
-            if convert is int and not _INT64_MIN <= value <= _INT64_MAX:
-                big[i] = value
-            else:
-                values[i] = value
-        return values, big
-
-    def _strings(self, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Codes of the spans ``[start, end)`` and the strings, both in first-seen order.
-
-        A span equal to the one before it takes its code; the first span
-        of each such run is grouped by its bytes and decoded once.
-        """
-        if not start.size:
-            return np.empty(0, dtype=np.int64), ()
-        length = end - start
-        same = (length[1:] == length[:-1]) & same_as_previous(self.data, start, length)
-        heads = np.concatenate([[0], (~same).nonzero()[0] + 1])
-        first, group = span_groups(self.data, start[heads], length[heads])
-        names: dict[str, int] = {}
-        code_of = [
-            names.setdefault(self.text[a:b], len(names))
-            for a, b in zip(start[heads[first]].tolist(), end[heads[first]].tolist())
-        ]
-        codes = np.array(code_of, dtype=np.int64)[group]
-        return np.repeat(codes, np.diff(heads, append=start.size)), tuple(names)
-
-
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_READ_WORD = int.from_bytes(b"read", "little")
-_WRITE_WORD = int.from_bytes(b"write", "little")
-# _OP_MASKS[k] keeps the first k bytes of a word (an operation token of k bytes).
-_OP_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-
-
-def _column(values: np.ndarray, big: dict[int, int], rows, dtype) -> np.ndarray:
-    """``values`` at ``rows`` (an index array or a slice) as ``dtype``.
-
-    Values too big for ``dtype`` raise the ``OverflowError`` numpy gives
-    for a list of Python numbers holding them.
-    """
-    kept = values[rows]
-    narrow = dtype is np.int32 and kept.size
-    if big or (narrow and (kept.max() > 2**31 - 1 or kept.min() < -(2**31))):
-        column = values.astype(object)
-        for i, value in big.items():
-            column[i] = value
-        return np.asarray(column[rows].tolist(), dtype=dtype)
-    return kept.astype(dtype, copy=False)
-
-
-def _codes(codes: np.ndarray, dtype) -> np.ndarray:
-    """Dictionary codes as ``dtype``, raising as numpy does for codes it cannot hold."""
-    if codes.size and int(codes.max()) > np.iinfo(dtype).max:
-        return np.asarray(codes.tolist(), dtype=dtype)
-    return codes.astype(dtype)
 
 
 def dxt_digest(segments) -> str:

@@ -21,23 +21,18 @@ Two failure postures:
 The counter section is read in bulk, straight into a
 :class:`~repro.darshan.countertable.CounterTable`, one bounded block of
 lines at a time.  numpy finds the line and tab positions of the UTF-8
-bytes (by one reshape when every line has seven tabs), then the byte
-kernels of :mod:`repro.darshan.bytefields` read whole columns: values
-as plain decimals (one byte for a one-digit value, two words for up to
-16 bytes), runs of lines sharing a record's head and tail by word
-compares, and counter names by their words, looked up among the names
-met in earlier blocks.  Each run's head and tail fields are decoded
-with one join, decode and split per block; a block of at most
-``_FEW_LINES`` record lines reads its names and values one by one,
-which costs less than the kernels' fixed cost.  Fields that are not
-plain ASCII decimals (``+5``, ``1_000``, ``1e3``) go through Python's
-``int()``/``float()``, so the accepted grammar and every error message
-are those of a line-by-line reading that splits lines like
-``str.splitlines``.  When the text is exactly what the writer emits for
-the parsed log, the table keeps the sha256 of those bytes and
-:func:`~repro.core.service.trace_digest` reuses it.  The DXT section is
-read by :func:`repro.darshan.dxt.read_dxt_section`, in bulk when it is
-plain ASCII.
+bytes (by one reshape when every line of the block has seven tabs),
+groups consecutive lines that share a record's head and tail into runs,
+interns counter names by their 8-byte words, masked to each name's
+length, and converts values: a one-digit value, most of a trace's, is
+its byte less ``"0"``, other plain decimals are read as right-aligned
+byte windows.  Fields that are not plain ASCII decimals (``+5``,
+``1_000``, ``1e3``) go through Python's ``int()``/``float()`` one by
+one, so the accepted grammar and every error message are those of a
+line-by-line reading that splits lines like ``str.splitlines``.  When
+the text is exactly what the writer emits for the parsed log, the table
+keeps the sha256 of those bytes and
+:func:`~repro.core.service.trace_digest` reuses it.
 
 Use :func:`parse_darshan_text_with_report` when you need the
 :class:`ParseReport`; :func:`parse_darshan_text` keeps the original
@@ -53,14 +48,6 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from repro.darshan.bytefields import (
-    PAD,
-    byte_rows,
-    decimals,
-    first_seen_groups,
-    same_as_previous,
-    span_words,
-)
 from repro.darshan.countertable import (
     CounterTable,
     ModuleCounters,
@@ -124,26 +111,34 @@ _WIDE_BREAKS = ("\x85", "\u2028", "\u2029")
 # Characters per scanned block (about 8k lines): bounds the block's bytes
 # and per-line temporaries.
 _BLOCK_CHARS = 1 << 20
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-_HASH_MIX = np.array(
-    [
-        0x9E3779B97F4A7C15,
-        0xC2B2AE3D27D4EB4F,
-        0x165667B19E3779F9,
-        0x27D4EB2F165667C5,
-        0x94D049BB133111EB,
-    ],
-    dtype=np.uint64,
-)
-# A known counter name: its four words, its tag and its column plus one.
-_NAME_ROW = np.dtype((np.void, 48))
-_NAME_SLOT_BITS = 12
-# Counter names up to this many bytes are grouped in bulk, in blocks of
-# more than _FEW_LINES record lines; fewer lines are read one by one.
+# Widest value converted with numpy: a sign and 18 digits, which int64 holds.
+_VALUE_WIDTH = 19
+_MAX_INT_DIGITS = 18
+# Floats converted with numpy carry at most 15 digits, so the digits are an
+# exact int64 and one division by a power of ten rounds like float().
+_MAX_FLOAT_DIGITS = 15
 _NAME_WIDTH = 32
-_FEW_LINES = 256
+_POW10 = 10 ** np.arange(_MAX_INT_DIGITS + 1, dtype=np.int64)
+_POW10F = 10.0 ** np.arange(_VALUE_WIDTH + 1)
+# Canonical "%.6f" text round-trips below 1e8 (spacing of doubles << 1e-6).
+_CANONICAL_FLOAT_DIGITS = 14
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 # The control bytes of a record line, seven tabs and its newline, as one word.
 _RECORD_CONTROLS = int.from_bytes(b"\t" * 7 + b"\n", "little")
+_HASH_MIX = np.array(
+    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5],
+    dtype=np.uint64,
+)
+
+
+def _prefix_masks(n_words: int) -> np.ndarray:
+    """Row ``k`` keeps the first ``k`` bytes of ``n_words`` little-endian words."""
+    keep = np.arange(8 * n_words) < np.arange(8 * n_words + 1)[:, None]
+    return (keep * np.uint8(255)).view(np.uint64)
+
+
+# Per name width in words: the mask of a name of each length.
+_NAME_MASKS = {n: _prefix_masks(n) for n in range(1, _NAME_WIDTH // 8 + 1)}
 
 
 # What a line is, by its first byte.  A line opening with whitespace, a
@@ -208,9 +203,9 @@ class _CounterScan:
     The text is read in blocks of whole lines; each block is encoded to
     UTF-8 on its own, so no copy of the whole text is held.  While the
     bytes read are exactly what the writer emits for what has been
-    parsed, ``canonical`` stays true, ``digest`` hashes them, and the
-    layout read (comment and empty lines, and each record's first and
-    last line) is kept for the final check against the writer's layout.
+    parsed, ``canonical`` stays true, ``digest`` hashes them and the
+    ``layout`` items (comment lines, empty lines, record runs) record
+    what the final check compares against the writer's layout.
     """
 
     def __init__(self, text: str, lenient: bool) -> None:
@@ -228,23 +223,23 @@ class _CounterScan:
         self.module_index: dict[str, int] = {}
         self.records: dict[tuple[str, str], tuple[int, int]] = {}
         self.strings: dict[str, str] = {}
-        self.names = _NameIndex()
-        # Path -> its record id as the writer spells it, for this text only.
-        self.record_ids: dict[str, str] = {}
-        # The layout, while canonical: (line, item) per comment or empty
-        # line, and [first line, last line, module, row] per record.
-        self.line_items: list[tuple[int, tuple]] = []
-        self.record_spans: list[list[int]] = []
-        # (record, last line, rank, record id, mount, fs type) of the last run read.
+        # (first line, last line, item) in text order, for the layout check.
+        self.line_items: list[tuple[int, int, tuple]] = []
+        self.run_items: list[list] = []
+        # (record, last line, head, tail) of the last run read.
         self.previous_run: tuple | None = None
         self.last_line: tuple[int, int, int, int] | None = None  # (module, row, kind, col)
-        # The block being read, followed by PAD, and whether another follows.
-        self.more = False
+        # The block being read.
         self.data = b""
         self.full = np.empty(0, dtype=np.uint8)
 
     def _decode(self, start: int, end: int) -> str:
         return self.data[start:end].decode("utf-8", "surrogatepass")
+
+    def _windows(self, width: int) -> np.ndarray:
+        """Read-only view of the block: row ``i`` is the ``width`` bytes from ``i``."""
+        shape = (max(len(self.data) - width + 1, 0), width)
+        return np.ndarray(shape, np.uint8, self.data, 0, (1, 1))
 
     def dxt_text(self) -> str | None:
         """The text from the DXT marker line on, if there is one."""
@@ -284,13 +279,11 @@ class _CounterScan:
         except UnicodeEncodeError:  # lone surrogates: the writer could not emit them
             data = chunk.encode("utf-8", "surrogatepass")
             self.canonical = False
-        size = len(data)
-        self.data = data + PAD
-        full = self.full = np.frombuffer(self.data, dtype=np.uint8)
-        ctl = (full[:size] < 32).nonzero()[0]
+        self.data = data
+        full = self.full = np.frombuffer(data, dtype=np.uint8)
+        ctl = (full < 32).nonzero()[0]
         kinds = full[ctl]
         unterminated = last and data[-1] != 10
-        self.more = not last  # another block follows
         n = ctl.size // 8
         grid = None
         if (
@@ -299,7 +292,7 @@ class _CounterScan:
             and ctl.size == 8 * n
             and (kinds.view("<u8") == _RECORD_CONTROLS).all()
         ):
-            # Every line has seven tabs: its tab positions are one row of the grid.
+            # Every line has seven tabs and its newline: one row of the grid.
             grid = ctl.reshape(n, 8)
             ends = grid[:, 7]
         else:
@@ -312,26 +305,25 @@ class _CounterScan:
                 if not _ASCII_BREAK_BYTES.isdisjoint(np.unique(full[odd]).tolist()):
                     raise _Rescan
             if unterminated:
-                ends = np.append(ends, size)
+                ends = np.append(ends, len(data))
         starts = np.empty(ends.size, dtype=np.int64)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
         category = _FIRST_BYTE[full[starts]]
         line0 = self.n_lines
-        stop = size
+        stop = len(data)
         for i in (category == _COMMENT).nonzero()[0].tolist():
             line = self._decode(int(starts[i]), int(ends[i]))
             if line.startswith(_DXT_MARKER):
                 # The counter section ends here; the rest is the DXT section.
                 stop = int(starts[i])
-                self.more = False
                 self.end = c0 + (stop if chunk.isascii() else len(self._decode(0, stop)))
                 starts, ends, category = starts[:i], ends[:i], category[:i]
                 break
             self._comment(line)
             if self.canonical:
-                self.line_items.append((line0 + i, ("#", line)))
-        if unterminated and stop == size:
+                self.line_items.append((line0 + i, line0 + i, ("#", line)))
+        if unterminated and stop == len(data):
             self.canonical = False  # the writer ends every line with "\n"
         self.n_lines += ends.size
         for i in (category == _UNSURE).nonzero()[0].tolist():
@@ -340,12 +332,12 @@ class _CounterScan:
                 self.canonical = False
         if self.canonical:
             self.line_items.extend(
-                (line0 + i, ("",)) for i in (category == _EMPTY).nonzero()[0].tolist()
+                (line0 + i, line0 + i, ("",)) for i in (category == _EMPTY).nonzero()[0].tolist()
             )
         rec = (category == _RECORD).nonzero()[0]
         errors: list[tuple[int, str, str]] = []  # (line, strict message, lenient reason)
         if grid is not None:
-            good, t = rec, grid if rec.size == grid.shape[0] else grid[rec]
+            good, t = rec, grid[rec, :7]
         else:
             tlo = np.searchsorted(tabs, starts[rec])
             ntab = np.searchsorted(tabs, ends[rec]) - tlo
@@ -388,10 +380,7 @@ class _CounterScan:
         line0: int,
         errors: list[tuple[int, str, str]],
     ) -> None:
-        """Fold the well-formed lines ``idx`` (block line numbers) into modules.
-
-        ``t`` holds each line's tab positions (at least seven columns).
-        """
+        """Fold the well-formed lines ``idx`` (block line numbers) into modules."""
         kind, values, value_error, spelled_canonically = self._values(t[:, 3] + 1, t[:, 4])
         value_ok = np.array([e is None for e in value_error]) if value_error else None
         run_start, run_stop = self._runs(idx, starts, ends, t)
@@ -400,61 +389,56 @@ class _CounterScan:
             if value_ok is None
             else np.add.reduceat(value_ok, run_start) > 0
         )
-        first_line = idx[run_start] + line0
-        last_line = idx[run_stop - 1] + line0
-        head = t[run_start]
-        fields = _run_fields(self.data, starts[run_start], head[:, 2], head[:, 4], ends[run_start])
         run_module: list[int] = []
         run_row: list[int] = []
         rank_errors: dict[int, str] = {}
-        ranks: dict[str, int] = {}
-        records, strings, modules = self.records, self.strings, self.module_list
-        module_index, record_ids, spans = self.module_index, self.record_ids, self.record_spans
-        canonical, previous = self.canonical, self.previous_run
-        for j, (module, rank_s, rid_s, path, mount, fs_type, live, first, last) in enumerate(
+        data, records, strings, modules = self.data, self.records, self.strings, self.module_list
+        run_items, canonical, previous = self.run_items, self.canonical, self.previous_run
+        for j, (s, e, first, last, (t0, t1, t2, _, t4, t5, t6), live) in enumerate(
             zip(
-                fields[0::6],
-                fields[1::6],
-                fields[2::6],
-                fields[3::6],
-                fields[4::6],
-                fields[5::6],
+                starts[run_start].tolist(),
+                ends[run_start].tolist(),
+                (idx[run_start] + line0).tolist(),
+                (idx[run_stop - 1] + line0).tolist(),
+                t[run_start].tolist(),
                 has_ok.tolist(),
-                first_line.tolist(),
-                last_line.tolist(),
             )
         ):
-            rank = ranks.get(rank_s)
-            if rank is None:
-                try:
-                    rank = ranks[rank_s] = int(rank_s)
-                except ValueError as exc:
-                    rank_errors[j] = str(exc)
-                    live = False
+            rank_s = data[t0 + 1 : t1].decode("utf-8", "surrogatepass")
+            try:
+                rank = int(rank_s)
+            except ValueError as exc:
+                rank_errors[j] = str(exc)
+                live = False
             if not live:
                 run_module.append(-1)
                 run_row.append(-1)
                 continue
+            module = data[s:t0].decode("utf-8", "surrogatepass")
+            path = data[t4 + 1 : t5].decode("utf-8", "surrogatepass")
+            path = strings.setdefault(path, path)
             found = records.get((module, path))
             if found is None:
-                mi = module_index.get(module)
+                mi = self.module_index.get(module)
                 if mi is None:
-                    mi = module_index[module] = len(modules)
+                    mi = self.module_index[module] = len(modules)
                     modules.append(_Module(module))
                 mod = modules[mi]
-                path = strings.setdefault(path, path)
                 found = records[(module, path)] = (mi, len(mod.path))
                 mod.seq.append(len(records) - 1)
                 mod.rank.append(rank)
                 mod.path.append(path)
+                mount = data[t5 + 1 : t6].decode("utf-8", "surrogatepass")
+                fs_type = data[t6 + 1 : e].decode("utf-8", "surrogatepass")
                 mod.mount.append(strings.setdefault(mount, mount))
                 mod.fs_type.append(strings.setdefault(fs_type, fs_type))
                 if canonical:
-                    record_id = record_ids.get(path)
-                    if record_id is None:
-                        record_id = record_ids[path] = str(record_id_for(path))
-                    canonical = mod.order >= 0 and str(rank) == rank_s and rid_s == record_id
-                    spans.append([first, last, mi, found[1]])
+                    canonical = (
+                        mod.order >= 0
+                        and str(rank) == rank_s
+                        and data[t1 + 1 : t2] == str(record_id_for(path)).encode()
+                    )
+                    run_items.append([first, last, ("r", mod.order, found[1])])
             elif canonical:
                 # A record's own lines, continued across a block edge, keep
                 # the text canonical; a record met again elsewhere does not.
@@ -462,19 +446,18 @@ class _CounterScan:
                     previous is not None
                     and previous[0] == found
                     and previous[1] + 1 == first
-                    and previous[2:] == (rank_s, rid_s, mount, fs_type)
+                    and previous[2] == data[s : t2 + 1]
+                    and previous[3] == data[t4:e]
                 )
-                spans[-1][1] = last
+                run_items[-1][1] = last
             if canonical:
-                previous = (found, last, rank_s, rid_s, mount, fs_type)
+                previous = (found, last, data[s : t2 + 1], data[t4:e])
             run_module.append(found[0])
             run_row.append(found[1])
         self.canonical, self.previous_run = canonical, previous
-        run_mod = np.array(run_module, dtype=np.int64)
-        run_rows = np.array(run_row, dtype=np.int64)
 
         lengths = run_stop - run_start
-        line_module = np.repeat(run_mod, lengths)
+        line_module = np.repeat(np.array(run_module, dtype=np.int64), lengths)
         ok = line_module >= 0
         if value_ok is not None:
             ok &= value_ok
@@ -486,27 +469,24 @@ class _CounterScan:
                 if value_ok is None or value_ok[j]:
                     i = int(idx[j])
                     errors.append((i, f"line {line0 + i + 1}: {message}", message))
-        rows = np.repeat(run_rows, lengths)
-        if not ok.all():
-            keep = ok.nonzero()[0]
-            idx, kind, rows, t = idx[keep], kind[keep], rows[keep], t[keep]
-            line_module = line_module[keep]
-            spelled_canonically = spelled_canonically[keep]
-            values = (values[0][keep], values[1][keep])
-        self.record_lines += int(idx.size)
-        if not idx.size:
+        keep = ok.nonzero()[0]
+        self.record_lines += int(keep.size)
+        if not keep.size:
             return
-        if self.canonical and not spelled_canonically.all():
+        if self.canonical and not spelled_canonically[keep].all():
             self.canonical = False
-        cols = self._columns(line_module, kind, t[:, 2] + 1, t[:, 3])
+        mods = line_module[keep]
+        rows = np.repeat(np.array(run_row, dtype=np.int64), lengths)[keep]
+        kinds = kind[keep]
+        cols = self._columns(mods, kinds, t[keep, 2] + 1, t[keep, 3])
         if self.canonical:
-            self._check_order(line_module, rows, kind, cols)
-        pos = idx + line0
-        group = line_module * 2 + kind
-        for g in np.bincount(group).nonzero()[0].tolist():
-            sel = group == g
+            self._check_order(mods, rows, kinds, cols)
+        pos = idx[keep] + line0
+        group = mods * 2 + kinds
+        for g in np.unique(group).tolist():
+            sel = (group == g).nonzero()[0]
             self.module_list[g // 2].parts[g % 2].append(
-                (rows[sel], cols[sel], values[g % 2][sel], pos[sel])
+                (rows[sel], cols[sel], values[g % 2][keep[sel]], pos[sel])
             )
 
     def _check_order(
@@ -532,29 +512,32 @@ class _CounterScan:
     ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], list, np.ndarray]:
         """Kind (0 int, 1 float), values per kind, errors, canonical spelling.
 
-        Plain ASCII decimals convert with numpy; anything else goes through
-        ``int()``/``float()`` as the line-by-line reading would.  ``errors``
-        is empty when every value converted, else one entry (``None`` or
-        the error message) per line.
+        A one-digit value, most of a trace's, is its byte less ``"0"``;
+        other plain ASCII decimals convert with numpy (:meth:`_decimals`);
+        anything else goes through ``int()``/``float()`` as the
+        line-by-line reading would.  ``errors`` is empty when every value
+        converted, else one entry (``None`` or the error message) per line.
         """
-        if vs.size > _FEW_LINES:
-            plain, is_float, ints, floats, canonical = decimals(self.data, self.full, vs, ve)
-        else:  # a few lines: one-digit values here, the rest one by one
-            digit = self.full[vs] - np.uint8(48)
-            plain = (ve - vs == 1) & (digit < 10)
-            canonical, is_float = plain.copy(), np.zeros(vs.size, dtype=bool)
-            ints = digit.astype(np.int64)
-            floats = ints.astype(np.float64)
+        n = vs.size
+        digit = self.full[vs] - np.uint8(48)  # bytes below "0" wrap past 9
+        plain = (ve - vs == 1) & (digit < 10)
+        ints = digit.astype(np.int64)
+        floats = ints.astype(np.float64)
+        is_float = np.zeros(n, dtype=bool)
+        canonical = plain.copy()
+        rest = (~plain).nonzero()[0]
+        if rest.size:
+            got = self._decimals(vs[rest], ve[rest])
+            plain[rest], is_float[rest], ints[rest], floats[rest], canonical[rest] = got
         kind = is_float.astype(np.int64)
         slow = (~plain).nonzero()[0]
         if not slow.size:
             return kind, (ints, floats), [], canonical
         int_values: np.ndarray = ints
-        errors: list = [None] * vs.size
+        errors: list = [None] * n
         big: dict[int, int] = {}
-        data = self.data
-        joined = b"\t".join([data[a:b] for a, b in zip(vs[slow].tolist(), ve[slow].tolist())])
-        for j, text in zip(slow.tolist(), joined.decode("utf-8", "surrogatepass").split("\t")):
+        for j in slow.tolist():
+            text = self._decode(int(vs[j]), int(ve[j]))
             float_kind = "." in text or "e" in text or "E" in text
             kind[j] = float_kind
             try:
@@ -564,8 +547,7 @@ class _CounterScan:
                 continue
             if float_kind:
                 floats[j] = value
-                # Fifteen digits are not trusted to round-trip, as in bulk.
-                canonical[j] = f"{value:.6f}" == text and len(text) - (text[0] == "-") != 16
+                canonical[j] = f"{value:.6f}" == text
             else:
                 canonical[j] = str(value) == text
                 if _INT64_MIN <= value <= _INT64_MAX:
@@ -580,200 +562,160 @@ class _CounterScan:
             errors = []
         return kind, (int_values, floats), errors, canonical
 
+    def _decimals(self, vs: np.ndarray, ve: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Plain, is-float, int, float and canonical columns of the values ``[vs, ve)``.
+
+        Each value is read as a right-aligned window of bytes; values that
+        are not plain ASCII decimals are left to the caller.
+        """
+        full = self.full
+        n = vs.size
+        vlen = ve - vs
+        width = int(min(max(int(vlen.max()), 1), _VALUE_WIDTH))
+        fast = (vlen > 0) & (vlen <= width) & (ve >= width)
+        if full.size >= width:
+            window = self._windows(width)[np.where(fast, ve - width, 0)]
+        else:
+            window = np.zeros((n, width), dtype=np.uint8)
+            fast[:] = False
+        col = np.arange(width)
+        lead = np.clip(width - vlen, 0, width - 1)  # column of each value's first byte
+        rows = np.arange(n)
+        minus = (window[rows, lead] == 45) & (vlen > 1)
+        first_digit = np.minimum(lead + minus, width - 1)
+        # The sign and the left padding read as '0'.
+        window = np.where(col < first_digit[:, None], np.uint8(48), window)
+        digit = (window - 48) < 10
+        dot = window == 46
+        ndot = dot.sum(axis=1)
+        nother = width - digit.sum(axis=1) - ndot
+        is_float = ndot > 0
+        dot_col = np.where(is_float, np.argmax(dot, axis=1), width)
+        frac_digits = width - 1 - dot_col
+        ndigit = width - first_digit - ndot
+        float_ok = (ndot == 1) & (dot_col > first_digit) & (frac_digits > 0)
+        float_ok &= ndigit <= _MAX_FLOAT_DIGITS
+        plain = fast & (nother == 0) & np.where(is_float, float_ok, ndigit <= _MAX_INT_DIGITS)
+        whole = np.where(digit, window - 48, 0) @ _POW10[width - 1 - col]
+        low = whole % _POW10[np.maximum(frac_digits, 0)]
+        number = np.where(is_float, (whole - low) // 10 + low, whole)
+        ints = np.where(minus, -number, number)
+        floats = number / _POW10F[np.maximum(frac_digits, 0)]
+        floats = np.where(minus, -floats, floats)
+        int_part = np.where(is_float, dot_col - first_digit, ndigit)
+        leading_zero = (window[rows, first_digit] == 48) & (int_part > 1)
+        canonical_float = (frac_digits == 6) & (ndigit <= _CANONICAL_FLOAT_DIGITS)
+        canonical_int = ~(minus & (number == 0))
+        canonical = plain & ~leading_zero & np.where(is_float, canonical_float, canonical_int)
+        return plain, is_float, ints, floats, canonical
+
     def _runs(
         self, idx: np.ndarray, starts: np.ndarray, ends: np.ndarray, t: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Runs of consecutive lines sharing head (module, rank, id) and tail.
 
-        Returned as (first line, one past the last line) index arrays.  A
-        line continues the run before it when the lines are adjacent and
-        its head and tail have the same lengths and the same bytes,
-        compared a word at a time, or in a block of a few lines one
-        candidate run at a time (:meth:`_checked_runs`).
+        Returned as (first line, one past the last line) index arrays.
+        Candidates come from field lengths and sampled bytes; each is then
+        checked exactly (every line boundary inside a run is the tail, a
+        newline and the head), and one that fails becomes single lines.
         """
+        full, data = self.full, self.data
         n = idx.size
-        head_len = t[:, 2] - starts  # module, rank and record id
-        tail_start = t[:, 4] + 1
-        tail_len = ends - tail_start  # path, mount and fs type
-        same = (
-            (idx[1:] == idx[:-1] + 1)
-            & (head_len[1:] == head_len[:-1])
-            & (tail_len[1:] == tail_len[:-1])
-        )
-        if n <= _FEW_LINES:
-            # Candidates also share the record id's last 8 bytes.
-            sample = byte_rows(self.data, np.maximum(t[:, 2] - 8, 0), 8).view("<u8")
-            same &= sample[1:] == sample[:-1]
-            same = self._checked_runs(same, starts, ends, t[:, 2], tail_start)
-        else:
-            same &= same_as_previous(self.data, starts, head_len)
-            same &= same_as_previous(self.data, tail_start, tail_len)
-        bounds = np.empty(n - int(same.sum()), dtype=np.int64)
-        bounds[0] = 0
-        bounds[1:] = (~same).nonzero()[0] + 1
-        return bounds, np.append(bounds[1:], n)
-
-    def _checked_runs(
-        self, same: np.ndarray, starts: np.ndarray, ends: np.ndarray, t2: np.ndarray, t4: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`_runs` for a few lines: each candidate run checked with one search.
-
-        A run's every inner line boundary must be its first line's tail,
-        a newline and its first line's head, and its last line must end
-        with that tail; a run that fails is split into single lines.
-        """
-        data = self.data
-        bounds = (~same).nonzero()[0] + 1
-        for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), same.size + 1]):
-            if b - a < 2:
-                continue
-            s, h, tail, e0, e1 = (int(x) for x in (starts[a], t2[a], t4[a], ends[a], ends[b - 1]))
-            pattern = data[tail:e0] + b"\n" + data[s:h]
-            joined = data.count(pattern, tail, e1) == b - a - 1
-            if not (joined and data.endswith(data[tail:e0], e0, e1)):
-                same[a : b - 1] = False
-        return same
+        head_end, tail_start = t[:, 2] + 1, t[:, 4]
+        new = np.ones(n, dtype=bool)
+        if n > 1 and full.size >= 8:
+            windows = self._windows(8)
+            new[1:] = (
+                (idx[1:] != idx[:-1] + 1)
+                | (head_end[1:] - starts[1:] != head_end[:-1] - starts[:-1])
+                | (ends[1:] - tail_start[1:] != ends[:-1] - tail_start[:-1])
+            )
+            # The last 8 digits of the record id tell neighbouring records apart.
+            sample = windows[np.maximum(head_end - 9, 0)].view(np.uint64).ravel()
+            new[1:] |= sample[1:] != sample[:-1]
+        bounds = new.nonzero()[0]
+        stops = np.append(bounds[1:], n)
+        long = (stops - bounds > 1).nonzero()[0]
+        if not long.size:
+            return bounds, stops
+        split: list[int] = []
+        for a, b in zip(bounds[long].tolist(), stops[long].tolist()):
+            s, e0, e1 = int(starts[a]), int(ends[a]), int(ends[b - 1])
+            head = data[s : int(head_end[a])]
+            tail = data[int(tail_start[a]) : e0]
+            joined = data.count(tail + b"\n" + head, e0 - len(tail), e1) == b - a - 1
+            if not (joined and data.endswith(tail, e0, e1)):
+                split.extend(range(a + 1, b))
+        if split:
+            bounds = np.union1d(bounds, split)
+            stops = np.append(bounds[1:], n)
+        return bounds, stops
 
     def _columns(
         self, mods: np.ndarray, kinds: np.ndarray, ns: np.ndarray, ne: np.ndarray
     ) -> np.ndarray:
         """Column index of each line's counter, assigning new names first-seen.
 
-        Names are looked up by their bytes and (module, kind) among the
-        names met earlier in the text; the rest are grouped and each new
-        group's name is decoded once.  A name longer than 32 bytes is a
-        group of its own.
+        Names up to 32 bytes are keyed by their words, zeroed past the
+        name by a mask picked by its length, the length and the (module,
+        kind); the key is hashed, grouped, and every line is then checked
+        against its group's first line.
         """
-        if mods.size <= _FEW_LINES:
-            return self._few_columns(mods, kinds, ns, ne)
+        full = self.full
+        n = mods.size
         nlen = ne - ns
-        tag = ((mods * 2 + kinds) << 8 | nlen).astype(np.uint64)
-        long = (nlen > _NAME_WIDTH).nonzero()[0]
-        tag[long] = np.uint64(1 << 63) | long.astype(np.uint64)  # a tag no other line has
-        words = span_words(self.data, ns, np.minimum(nlen, _NAME_WIDTH), _NAME_WIDTH // 8)
-        key = _name_key(words, tag)
-        col = self.names.find(key, words, tag)
-        new = (col < 0).nonzero()[0]
-        if not new.size:
-            return col
-        if new.size < col.size:
-            key, words, tag = key[new], words[new], tag[new]
-        first, group = first_seen_groups(key)
-        rep = first[group]
-        if not ((words == words[rep]).all() and (tag == tag[rep]).all()):
-            # A hash collision: group by the bytes themselves.
-            first, group = first_seen_groups(np.column_stack([words, tag]))
-        lines = new[first]
+        bulk = (nlen <= _NAME_WIDTH) & (ns + _NAME_WIDTH <= full.size)
+        group = np.empty(n, dtype=np.int64)
+        first_lines: list[int] = []  # the first line of each group
+        if bulk.any():
+            sel = bulk.nonzero()[0]
+            n_words = min(_NAME_WIDTH // 8, -(-int(nlen[sel].max()) // 8) or 1)
+            window = self._windows(8 * n_words)[ns[sel]]
+            words = window.view(np.uint64) & _NAME_MASKS[n_words][nlen[sel]]
+            tag = (mods[sel] * 2 + kinds[sel]) << 8 | nlen[sel]
+            key = words @ _HASH_MIX[:n_words] ^ tag.astype(np.uint64)
+            first, inverse = _first_seen_groups(key)
+            exact = (words == words[first[inverse]]).all() and (tag == tag[first[inverse]]).all()
+            if not exact:  # a hash collision: group by the bytes themselves
+                exact_key = np.column_stack([words, tag.astype(np.uint64)])
+                first, inverse = _first_seen_groups(exact_key)
+            group[sel] = inverse
+            first_lines = sel[first].tolist()
+        for j in (~bulk).nonzero()[0].tolist():
+            group[j] = len(first_lines)
+            first_lines.append(j)
+        col_of = [0] * len(first_lines)
+        picks = np.array(first_lines, dtype=np.int64)
         data, modules = self.data, self.module_list
-        cols = []
-        for m, k, a, b in zip(
-            mods[lines].tolist(), kinds[lines].tolist(), ns[lines].tolist(), ne[lines].tolist()
-        ):
+        firsts = zip(
+            first_lines,
+            range(len(first_lines)),
+            mods[picks].tolist(),
+            kinds[picks].tolist(),
+            ns[picks].tolist(),
+            ne[picks].tolist(),
+        )
+        for _, g, m, k, a, b in sorted(firsts):
             table = modules[m].names[k]
-            cols.append(table.setdefault(data[a:b].decode("utf-8", "surrogatepass"), len(table)))
-        col[new] = np.array(cols, dtype=np.int64)[group]
-        if self.more:
-            learn = first[tag[first] >> np.uint64(63) == 0]
-            self.names.add(key[learn], words[learn], tag[learn], col[new[learn]])
-        return col
-
-    def _few_columns(
-        self, mods: np.ndarray, kinds: np.ndarray, ns: np.ndarray, ne: np.ndarray
-    ) -> np.ndarray:
-        """:meth:`_columns` for a few lines: each name decoded and looked up."""
-        data = self.data
-        joined = b"\t".join([data[a:b] for a, b in zip(ns.tolist(), ne.tolist())])
-        tables = [m.names for m in self.module_list]
-        cols = []
-        for name, m, k in zip(
-            joined.decode("utf-8", "surrogatepass").split("\t"), mods.tolist(), kinds.tolist()
-        ):
-            table = tables[m][k]
-            cols.append(table.setdefault(name, len(table)))
-        return np.array(cols, dtype=np.int64)
+            col_of[g] = table.setdefault(data[a:b].decode("utf-8", "surrogatepass"), len(table))
+        return np.array(col_of, dtype=np.int64)[group]
 
     # -- the canonical layout ------------------------------------------------------
 
     def _layout_is_canonical(self, header: str) -> bool:
-        """Whether the lines read are the writer's: header, then each module's section.
-
-        The comment and empty lines must be the writer's, in its order,
-        each module's records must follow its section header, rows in
-        order, and together they must cover every line once.
-        """
-        modules = sorted(self.module_list, key=lambda m: m.order)
+        """Whether the lines read are the writer's: header, then each module's section."""
         expected = _line_items(header)
-        before = []  # per module: how many comment and empty lines precede its records
-        for mod in modules:
+        for mod in sorted(self.module_list, key=lambda m: m.order):
             expected.extend(_line_items(section_header(mod.name)))
-            before.append(len(expected))
+            expected.extend(("r", mod.order, row) for row in range(len(mod.path)))
             expected.append(("",))
-        items = sorted(self.line_items)
-        if [item for _, item in items] != expected:
-            return False
-        spans = self.record_spans
-        line_at = [line for line, _ in items]
-        next_line = done = k = 0
-        for mod, ahead in zip(modules, before):
-            if line_at[done:ahead] != list(range(next_line, next_line + ahead - done)):
+        items = sorted(self.line_items + [tuple(item) for item in self.run_items])
+        next_line = 0
+        for first, last, _ in items:
+            if first != next_line:
                 return False
-            next_line += ahead - done
-            done = ahead
-            part = spans[k : k + len(mod.path)]
-            m = self.module_list.index(mod)
-            if (
-                [(s[2], s[3]) for s in part] != [(m, row) for row in range(len(mod.path))]
-                or [s[0] for s in part] != [next_line] + [s[1] + 1 for s in part[:-1]]
-            ):
-                return False
-            next_line, k = part[-1][1] + 1, k + len(part)
-        tail = line_at[done:]
-        return k == len(spans) and tail == list(range(next_line, self.n_lines))
-
-
-class _NameIndex:
-    """The counter names met so far in one text, in a table of 4096 slots.
-
-    A name lives in the slot its key's top bits pick, as one row: its
-    four words, its tag and its column plus one (0: an empty slot), so a
-    lookup reads one row per line.  A name whose slot is taken stays
-    unknown and is grouped with the new names each time.
-    """
-
-    def __init__(self) -> None:
-        self.rows: np.ndarray | None = None
-
-    def find(self, key: np.ndarray, words: np.ndarray, tag: np.ndarray) -> np.ndarray:
-        """Each name's column, or -1 for a name not met before."""
-        if self.rows is None:
-            return np.full(key.size, -1, dtype=np.int64)
-        known = self.rows[key >> np.uint64(64 - _NAME_SLOT_BITS)].view("<u8")
-        known = known.reshape(key.size, 6)
-        diff = known[:, 4] ^ tag
-        for k in range(4):
-            diff |= known[:, k] ^ words[:, k]
-        return np.where(diff == 0, known[:, 5].astype(np.int64) - 1, -1)
-
-    def add(self, key: np.ndarray, words: np.ndarray, tag: np.ndarray, cols: np.ndarray) -> None:
-        """Learn new names, each in its slot if the slot is free."""
-        if self.rows is None:
-            self.rows = np.zeros(1 << _NAME_SLOT_BITS, dtype=_NAME_ROW)
-        table = self.rows.view("<u8").reshape(-1, 6)
-        slots = (key >> np.uint64(64 - _NAME_SLOT_BITS)).astype(np.int64)
-        # The first name of each free slot takes it.
-        _, first = np.unique(slots, return_index=True)
-        first = first[table[slots[first], 5] == 0]
-        table[slots[first]] = np.column_stack(
-            [words[first], tag[first], cols[first].astype(np.uint64) + np.uint64(1)]
-        )
-
-
-def _name_key(words: np.ndarray, tag: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each name's four words and tag."""
-    key = tag * _HASH_MIX[4]
-    for k in range(4):
-        key ^= words[:, k] * _HASH_MIX[k]
-    return key
+            next_line = last + 1
+        return next_line == self.n_lines and [item for _, _, item in items] == expected
 
 
 def _line_items(chunk: str) -> list[tuple]:
@@ -781,17 +723,30 @@ def _line_items(chunk: str) -> list[tuple]:
     return [("#", line) if line else ("",) for line in chunk.split("\n")[:-1]]
 
 
-def _run_fields(
-    data: bytes, starts: np.ndarray, t2: np.ndarray, t4: np.ndarray, ends: np.ndarray
-) -> list[str]:
-    """Module, rank, record id, path, mount and fs type of each line: six strings per line.
+def _first_seen_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal keys (rows, for a 2-D key): (first index of each group, group of each).
 
-    Every line's head (up to the tab ``t2``) and tail (after the tab
-    ``t4``) are joined by tabs, decoded and split once.
+    Groups are numbered in order of first appearance.
     """
-    spans = zip(starts.tolist(), t2.tolist(), (t4 + 1).tolist(), ends.tolist())
-    joined = b"\t".join([part for s, h, t, e in spans for part in (data[s:h], data[t:e])])
-    return joined.decode("utf-8", "surrogatepass").split("\t")
+    if key.ndim == 1:
+        order = np.argsort(key)
+        sorted_key = key[order]
+        new = np.empty(key.size, dtype=bool)
+        new[:1] = True
+        new[1:] = sorted_key[1:] != sorted_key[:-1]
+        inverse = np.empty(key.size, dtype=np.int64)
+        inverse[order] = np.cumsum(new) - 1
+        n_groups = int(new.sum())
+    else:
+        _, inverse = np.unique(key, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        n_groups = int(inverse.max()) + 1
+    first = np.full(n_groups, key.shape[0], dtype=np.int64)
+    np.minimum.at(first, inverse, np.arange(key.shape[0]))
+    renumber = np.empty(n_groups, dtype=np.int64)
+    by_appearance = np.argsort(first)
+    renumber[by_appearance] = np.arange(n_groups)
+    return first[by_appearance], renumber[inverse]
 
 
 def _scan_counters(text: str, lenient: bool) -> _CounterScan:
@@ -860,18 +815,19 @@ def parse_darshan_text_with_report(
     total_lines = scan.n_lines
     dxt_text = scan.dxt_text()
     if dxt_text is not None:
-        from repro.darshan.dxt import read_dxt_section
+        from repro.darshan.dxt import parse_dxt_lines
 
+        lines = dxt_text.splitlines()
+        total_lines += len(lines)
         dxt_skipped: list[tuple[int, str, str]] = []
         try:
-            table, n_dxt_lines = read_dxt_section(
-                dxt_text, lenient=lenient, skipped=dxt_skipped if lenient else None
+            table = parse_dxt_lines(
+                lines, lenient=lenient, skipped=dxt_skipped if lenient else None
             )
         except DarshanParseError:
             raise
         except ValueError as exc:
             raise DarshanParseError(str(exc)) from exc
-        total_lines += n_dxt_lines
         for sub_lineno, sub_text, reason in dxt_skipped:
             skipped.append(
                 SkippedLine(lineno=scan.n_lines + sub_lineno, text=sub_text, reason=reason)

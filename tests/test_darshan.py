@@ -530,14 +530,15 @@ class TestLenientDamageSweep:
 # -- block edges and DXT lines under the oracle -------------------------------
 
 
-_BLOCK_SIZES = (1, 64, 4096)
+_BLOCK_SIZES = (1, 64, 4096, 1 << 15)
 
 
 class TestBlockEdges:
     """Record runs, the order check and the DXT marker straddling block edges.
 
-    Every text above fits in one 1 MiB block; with blocks of 1, 64 and
-    4096 characters a run, a record or the DXT marker line meets an edge.
+    Every text above fits in one 1 MiB block; with blocks of 1, 64, 4096
+    and 32768 characters a run, a record or the DXT marker line meets an
+    edge, in blocks of one line up to a few hundred.
     """
 
     @pytest.mark.parametrize("block", _BLOCK_SIZES)
@@ -597,7 +598,7 @@ def _edited_dxt_traces(draw):
 
 
 class TestDxtLinesMatchOracle:
-    """The bulk DXT reader reads edited segment lines as the oracle does."""
+    """The DXT reader reads edited segment lines as the oracle does."""
 
     @settings(max_examples=150, deadline=None)
     @given(_edited_dxt_traces())
@@ -640,7 +641,7 @@ class TestRunsSplitAtTails:
     """Lines that share a head but not a tail belong to different records."""
 
     @pytest.mark.parametrize("lines_kept", [1, None])  # one line of record 1, or all
-    @pytest.mark.parametrize("block", [4096, 1 << 20])  # checked one run at a time; word by word
+    @pytest.mark.parametrize("block", [4096, 1 << 20])  # about 40 lines a block; one block
     def test_shared_head(self, block, lines_kept, monkeypatch):
         monkeypatch.setattr(parser_module, "_BLOCK_CHARS", block)
         lines = _BASE_TEXTS["sb01"]().split("\n")
