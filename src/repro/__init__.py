@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "9.0.0"  # major: PipelineContext.module_tables is a read-only, built-when-read mapping
+__version__ = "10.0.0"  # major: a taken registry name raises; DiagnosisServer lost latency_model
 
 __all__ = [
     # tools

@@ -1,12 +1,11 @@
-"""The check registry: `register_check` mirrors `repro.core.registry`.
+"""The check registry: named static checks the analysis suite runs.
 
 A *check* is a named, pure function from a :class:`~repro.analysis.context.
 CheckContext` to a list of :class:`~repro.analysis.diagnostics.Diagnostic`.
 Built-in checks live in :mod:`repro.analysis.invariants` (registry/domain
 invariants) and :mod:`repro.analysis.lint` (AST convention rules) and load
-lazily, exactly like tools and scenarios do, so a future evidence channel
-ships its own checks with one ``register_check`` call and CI runs them for
-free.
+lazily on first use, so a future evidence channel ships its own checks
+with one ``register_check`` call and CI runs them for free.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, overload
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.util.lookup import RegistryLookupError
+from repro.util.lookup import Registry, RegistryLookupError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.context import CheckContext
@@ -54,35 +53,16 @@ class CheckNotFoundError(RegistryLookupError):
     noun = "check"
     available_label = "available checks"
 
-    @property
-    def check_name(self) -> str:
-        return self.unknown[0]
-
-
-_REGISTRY: dict[str, Check] = {}
 
 # Built-in checks resolve lazily so importing the registry stays cheap and
 # cycle-free (invariants imports the registries it inspects).
-_BUILTIN_MODULES = ("repro.analysis.invariants", "repro.analysis.lint")
-_builtins_loaded = False
-_builtins_loading = False  # reentrancy guard: builtins register during import
-
-
-def _ensure_builtins() -> None:
-    global _builtins_loaded, _builtins_loading
-    if _builtins_loaded or _builtins_loading:
-        return
-    import importlib
-
-    _builtins_loading = True
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-        # Set only once every builtin imported cleanly, so a failed import
-        # surfaces again instead of leaving the registry silently partial.
-        _builtins_loaded = True
-    finally:
-        _builtins_loading = False
+_CHECKS: Registry[Check] = Registry(
+    CheckNotFoundError,
+    builtins=("repro.analysis.invariants", "repro.analysis.lint"),
+    tokens=lambda check: check.tags,
+)
+get_check = _CHECKS.__getitem__
+unregister_check = _CHECKS.unregister
 
 
 @overload
@@ -122,20 +102,12 @@ def register_check(
     """
 
     def _register(fn: CheckFn) -> CheckFn:
-        _ensure_builtins()
-        if not replace and name in _REGISTRY:
-            raise ValueError(f"check {name!r} is already registered (pass replace=True)")
-        _REGISTRY[name] = Check(name=name, fn=fn, description=description, tags=tuple(tags))
+        _CHECKS.register(name, Check(name, fn, description, tuple(tags)), replace=replace)
         return fn
 
     if fn is not None:
         return _register(fn)
     return _register
-
-
-def unregister_check(name: str) -> None:
-    """Remove a registration (no-op if absent); used by tests and plugins."""
-    _REGISTRY.pop(name, None)
 
 
 def available_checks(tag: str | None = None) -> tuple[str, ...]:
@@ -145,20 +117,7 @@ def available_checks(tag: str | None = None) -> tuple[str, ...]:
 
 def iter_checks(tag: str | None = None) -> tuple[Check, ...]:
     """Registered :class:`Check` objects, optionally filtered by tag."""
-    _ensure_builtins()
-    checks = tuple(_REGISTRY.values())
-    if tag is None:
-        return checks
-    return tuple(c for c in checks if tag in c.tags or tag == c.name)
-
-
-def get_check(name: str) -> Check:
-    """Look up one check by exact name."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise CheckNotFoundError(name, available_checks()) from None
+    return _CHECKS.entries(tag)
 
 
 def run_checks(
@@ -171,7 +130,6 @@ def run_checks(
     as an error diagnostic for that check instead of aborting the run, so
     one broken checker cannot mask the others' results.
     """
-    _ensure_builtins()
     selected = [get_check(n) for n in names] if names is not None else list(iter_checks())
     results: dict[str, list[Diagnostic]] = {}
     for check in selected:

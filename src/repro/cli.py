@@ -646,8 +646,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RegistryLookupError as exc:
-        # The one rendering for every registry (tools, scenarios, series,
-        # fault plans): the error carries its noun, hints and options line.
+        # The one rendering for every registry (tools, scenarios, models,
+        # fault plans, ...): the error carries its noun, hints and options.
         print(exc.render_cli(), file=sys.stderr)
         return 2
 

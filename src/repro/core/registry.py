@@ -21,12 +21,12 @@ signature accepts, so generic callers can offer common knobs (``seed``,
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Iterable, Protocol, runtime_checkable
 
 from repro.core.report import DiagnosisReport
 from repro.darshan.log import DarshanLog
 from repro.llm.client import Usage
-from repro.util.lookup import RegistryLookupError
+from repro.util.lookup import Registry, RegistryLookupError
 
 __all__ = [
     "DiagnosticTool",
@@ -66,70 +66,38 @@ class ToolNotFoundError(RegistryLookupError):
     noun = "tool"
     available_label = "available tools"
 
-    @property
-    def tool_name(self) -> str:
-        return self.unknown[0]
+    def __init__(self, unknown: str | Iterable[str], available: Iterable[str]) -> None:
+        super().__init__(unknown, sorted(available))
 
-    def available_cli_line(self) -> str:
-        return "available tools: " + (", ".join(self.available) or "<none>")
-
-
-_REGISTRY: dict[str, ToolFactory] = {}
 
 # Built-in tools are resolved lazily so importing the registry stays cheap
 # and free of cycles (agent → pipeline → core, baselines → llm).
-_BUILTIN_MODULES = (
-    "repro.core.agent",
-    "repro.baselines.drishti.tool",
-    "repro.baselines.ion",
-    "repro.regression.series",
+_TOOLS: Registry[ToolFactory] = Registry(
+    ToolNotFoundError,
+    builtins=(
+        "repro.core.agent",
+        "repro.baselines.drishti.tool",
+        "repro.baselines.ion",
+        "repro.regression.series",
+    ),
 )
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    import importlib
-
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-    # Flag only set once every builtin imported cleanly, so a failed
-    # import surfaces again on the next call instead of leaving the
-    # registry silently partial.
-    _builtins_loaded = True
+get_tool_factory = _TOOLS.__getitem__  # the raw factory, mainly for introspection
+unregister_tool = _TOOLS.unregister
 
 
 def register_tool(name: str, factory: ToolFactory, *, replace: bool = False) -> None:
     """Register ``factory`` under ``name``.
 
     Registering an existing name raises unless ``replace=True`` — silent
-    shadowing of a comparison tool would corrupt evaluations.
+    shadowing of a comparison tool would corrupt evaluations.  Built-in
+    tools load first, so a plugin taking a built-in's name fails here.
     """
-    if not replace and name in _REGISTRY:
-        raise ValueError(f"tool {name!r} is already registered (pass replace=True)")
-    _REGISTRY[name] = factory
-
-
-def unregister_tool(name: str) -> None:
-    """Remove a registration (no-op if absent); used by tests and plugins."""
-    _REGISTRY.pop(name, None)
+    _TOOLS.register(name, factory, replace=replace)
 
 
 def available_tools() -> tuple[str, ...]:
     """Registered tool names, sorted."""
-    _ensure_builtins()
-    return tuple(sorted(_REGISTRY))
-
-
-def get_tool_factory(name: str) -> ToolFactory:
-    """The raw factory for ``name`` (mainly for introspection)."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ToolNotFoundError(name, available_tools()) from None
+    return tuple(sorted(_TOOLS))
 
 
 def get_tool(name: str, **kwargs) -> DiagnosticTool:

@@ -70,7 +70,7 @@ def trace_digest(log: DarshanLog) -> str:
     else:
         digest = hashlib.sha256()
         for chunk in iter_darshan_text(log):
-            digest.update(chunk.encode("utf-8"))
+            digest.update(chunk.encode("utf-8", "surrogatepass"))
     if log.dxt_segments:
         from repro.darshan.dxt import dxt_digest
 

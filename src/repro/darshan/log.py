@@ -40,7 +40,12 @@ class JobHeader:
     @property
     def start_time_ascii(self) -> str:
         """Human-readable start time (UTC, reproducible across machines)."""
-        return time.strftime("%a %b %d %H:%M:%S %Y", time.gmtime(self.start_time))
+        return ascii_time(self.start_time)
+
+
+def ascii_time(seconds: int) -> str:
+    """A Unix time as the header's UTC date; raises for one the platform cannot take."""
+    return time.strftime("%a %b %d %H:%M:%S %Y", time.gmtime(seconds))
 
 
 class DarshanLog:

@@ -55,7 +55,7 @@ from repro.darshan.countertable import (
     build_columns,
     int_array,
 )
-from repro.darshan.log import MODULE_ORDER, DarshanLog, JobHeader
+from repro.darshan.log import MODULE_ORDER, DarshanLog, JobHeader, ascii_time
 from repro.darshan.records import record_id_for
 from repro.darshan.writer import render_header, section_header
 
@@ -263,11 +263,8 @@ class _CounterScan:
     def table(self, header: JobHeader) -> CounterTable:
         memo = None
         if self.canonical:
-            try:
-                chunk = render_header(header)
-            except (OverflowError, OSError, ValueError):
-                chunk = None  # a job time the writer cannot render: not its text
-            if chunk is not None and self._layout_is_canonical(chunk):
+            chunk = render_header(header)
+            if self._layout_is_canonical(chunk):
                 memo = TextMemo(chunk, self.digest)
         return CounterTable([m.counters() for m in self.module_list], memo)
 
@@ -785,6 +782,15 @@ def _header_value(
     return value
 
 
+def _renders(seconds: int) -> bool:
+    """Whether the writer can render ``seconds`` as the header's UTC date."""
+    try:
+        ascii_time(seconds)
+    except (OverflowError, OSError, ValueError):
+        return False
+    return True
+
+
 def parse_darshan_text_with_report(
     text: str, *, lenient: bool = False
 ) -> tuple[DarshanLog, ParseReport]:
@@ -803,7 +809,7 @@ def parse_darshan_text_with_report(
         uid=_header_value(header_fields, "uid", int),
         jobid=_header_value(header_fields, "jobid", int),
         nprocs=_header_value(header_fields, "nprocs", int, lambda n: n > 0),
-        start_time=_header_value(header_fields, "start_time", int),
+        start_time=_header_value(header_fields, "start_time", int, _renders),
         end_time=_header_value(header_fields, "end_time", int),
         run_time=_header_value(header_fields, "run time", float, lambda t: not t < 0),
         log_version=header_fields.get("darshan log version", "3.41"),

@@ -10,7 +10,7 @@ __all__ = ["DarshanRecord", "record_id_for"]
 
 def record_id_for(path: str) -> int:
     """Stable 63-bit record id for a path (Darshan hashes the full path)."""
-    digest = hashlib.blake2b(path.encode("utf-8"), digest_size=8).digest()
+    digest = hashlib.blake2b(path.encode("utf-8", "surrogatepass"), digest_size=8).digest()
     return int.from_bytes(digest, "little") >> 1  # keep it positive
 
 

@@ -85,7 +85,7 @@ def _dictionary_bytes(*dictionaries: Sequence[str]) -> bytes:
     :func:`repro.darshan.dxt.dxt_digest`, the service-cache key): entries
     joined by ``|`` within a dictionary, dictionaries separated by NUL.
     """
-    return "\x00".join("|".join(d) for d in dictionaries).encode("utf-8")
+    return "\x00".join("|".join(d) for d in dictionaries).encode("utf-8", "surrogatepass")
 
 
 class SegmentTable(Sequence):

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.llm.context import fit_prompt
 from repro.llm.models import ModelProfile
+from repro.util.lookup import Registry, RegistryLookupError
 from repro.util.rng import derive_seed
 
 __all__ = ["SimLLMEngine", "register_task"]
@@ -25,26 +26,21 @@ _TASK_RE = re.compile(r"^TASK:\s*([a-z_]+)\s*$", re.MULTILINE)
 
 Handler = Callable[[str, ModelProfile, np.random.Generator], str]
 
-_TASKS: dict[str, Handler] = {}
+
+class TaskNotFoundError(RegistryLookupError):
+    """Raised when a prompt names a task no handler is registered for."""
+
+    noun = "task"
+    available_label = "available tasks"
+
+
+# Importing repro.llm.tasks registers the handlers; deferred against import cycles.
+_TASKS: Registry[Handler] = Registry(TaskNotFoundError, builtins=("repro.llm.tasks",))
 
 
 def register_task(name: str) -> Callable[[Handler], Handler]:
     """Decorator registering a task handler under ``name``."""
-
-    def deco(fn: Handler) -> Handler:
-        if name in _TASKS:
-            raise ValueError(f"task {name!r} already registered")
-        _TASKS[name] = fn
-        return fn
-
-    return deco
-
-
-def _ensure_handlers_loaded() -> None:
-    # Handlers live in repro.llm.tasks.*; importing the package registers
-    # them.  Deferred to first use to avoid import cycles.
-    if not _TASKS:
-        import repro.llm.tasks  # noqa: F401
+    return lambda fn: _TASKS.register(name, fn)
 
 
 class SimLLMEngine:
@@ -55,14 +51,11 @@ class SimLLMEngine:
 
     def run(self, prompt: str, model: ModelProfile, call_id: str) -> tuple[str, bool, int]:
         """Returns (response_text, prompt_was_truncated, visible_tokens)."""
-        _ensure_handlers_loaded()
         fitted = fit_prompt(prompt, model)
         visible = fitted.visible_text
         m = _TASK_RE.search(visible[:2000])
         task = m.group(1) if m else "plain"
-        handler = _TASKS.get(task)
-        if handler is None:
-            raise ValueError(f"no handler for task {task!r}")
+        handler = _TASKS[task]
         rng = np.random.default_rng(derive_seed(self.seed, model.name, call_id, task))
         response = handler(visible, model, rng)
         return response, fitted.truncated, fitted.visible_tokens

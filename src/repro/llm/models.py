@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.lookup import Registry, RegistryLookupError
+
 __all__ = ["ModelProfile", "MODEL_REGISTRY", "get_model"]
 
 
@@ -61,86 +63,84 @@ class ModelProfile:
             raise ValueError("context_tokens must be positive")
 
 
-MODEL_REGISTRY: dict[str, ModelProfile] = {
-    profile.name: profile
-    for profile in (
-        ModelProfile(
-            name="gpt-4",
-            context_tokens=6_000,
-            fact_recall=0.70,
-            misconception_rate=0.35,
-            merge_retention_decay=0.30,
-            verbosity=0.35,
-            positional_bias=0.6,
-            usd_per_mtok_in=30.0,
-            usd_per_mtok_out=60.0,
-            plans_instead_of_diagnosing=True,
-        ),
-        ModelProfile(
-            name="gpt-4o",
-            context_tokens=24_000,
-            fact_recall=0.95,
-            misconception_rate=0.25,
-            merge_retention_decay=0.18,
-            verbosity=0.90,
-            positional_bias=0.45,
-            usd_per_mtok_in=5.0,
-            usd_per_mtok_out=15.0,
-        ),
-        ModelProfile(
-            name="gpt-4o-mini",
-            context_tokens=24_000,
-            fact_recall=0.82,
-            misconception_rate=0.30,
-            merge_retention_decay=0.30,
-            verbosity=0.45,
-            positional_bias=0.55,
-            usd_per_mtok_in=0.15,
-            usd_per_mtok_out=0.60,
-        ),
-        ModelProfile(
-            name="o1-preview",
-            context_tokens=4_000,  # the paper: too small for a full AMReX trace
-            fact_recall=0.96,
-            misconception_rate=0.12,
-            merge_retention_decay=0.10,
-            verbosity=0.70,
-            positional_bias=0.30,
-            usd_per_mtok_in=15.0,
-            usd_per_mtok_out=60.0,
-        ),
-        ModelProfile(
-            name="llama-3-70b",
-            context_tokens=8_000,
-            fact_recall=0.65,
-            misconception_rate=0.38,
-            merge_retention_decay=0.45,
-            verbosity=0.40,
-            positional_bias=0.75,
-            usd_per_mtok_in=0.0,
-            usd_per_mtok_out=0.0,
-            open_source=True,
-        ),
-        ModelProfile(
-            name="llama-3.1-70b",
-            context_tokens=16_000,
-            fact_recall=0.68,
-            misconception_rate=0.32,
-            merge_retention_decay=0.35,
-            verbosity=0.45,
-            positional_bias=0.65,
-            usd_per_mtok_in=0.0,
-            usd_per_mtok_out=0.0,
-            open_source=True,
-        ),
-    )
-}
+class ModelNotFoundError(RegistryLookupError):
+    """Raised for a model name no profile is registered for."""
+
+    noun = "model"
+    available_label = "known models"
 
 
-def get_model(name: str) -> ModelProfile:
-    """Fetch a profile; raises a helpful error listing known models."""
-    try:
-        return MODEL_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(MODEL_REGISTRY))
-        raise KeyError(f"unknown model {name!r}; known models: {known}") from None
+MODEL_REGISTRY: Registry[ModelProfile] = Registry(ModelNotFoundError)
+get_model = MODEL_REGISTRY.__getitem__
+for _profile in (
+    ModelProfile(
+        name="gpt-4",
+        context_tokens=6_000,
+        fact_recall=0.70,
+        misconception_rate=0.35,
+        merge_retention_decay=0.30,
+        verbosity=0.35,
+        positional_bias=0.6,
+        usd_per_mtok_in=30.0,
+        usd_per_mtok_out=60.0,
+        plans_instead_of_diagnosing=True,
+    ),
+    ModelProfile(
+        name="gpt-4o",
+        context_tokens=24_000,
+        fact_recall=0.95,
+        misconception_rate=0.25,
+        merge_retention_decay=0.18,
+        verbosity=0.90,
+        positional_bias=0.45,
+        usd_per_mtok_in=5.0,
+        usd_per_mtok_out=15.0,
+    ),
+    ModelProfile(
+        name="gpt-4o-mini",
+        context_tokens=24_000,
+        fact_recall=0.82,
+        misconception_rate=0.30,
+        merge_retention_decay=0.30,
+        verbosity=0.45,
+        positional_bias=0.55,
+        usd_per_mtok_in=0.15,
+        usd_per_mtok_out=0.60,
+    ),
+    ModelProfile(
+        name="o1-preview",
+        context_tokens=4_000,  # the paper: too small for a full AMReX trace
+        fact_recall=0.96,
+        misconception_rate=0.12,
+        merge_retention_decay=0.10,
+        verbosity=0.70,
+        positional_bias=0.30,
+        usd_per_mtok_in=15.0,
+        usd_per_mtok_out=60.0,
+    ),
+    ModelProfile(
+        name="llama-3-70b",
+        context_tokens=8_000,
+        fact_recall=0.65,
+        misconception_rate=0.38,
+        merge_retention_decay=0.45,
+        verbosity=0.40,
+        positional_bias=0.75,
+        usd_per_mtok_in=0.0,
+        usd_per_mtok_out=0.0,
+        open_source=True,
+    ),
+    ModelProfile(
+        name="llama-3.1-70b",
+        context_tokens=16_000,
+        fact_recall=0.68,
+        misconception_rate=0.32,
+        merge_retention_decay=0.35,
+        verbosity=0.45,
+        positional_bias=0.65,
+        usd_per_mtok_in=0.0,
+        usd_per_mtok_out=0.0,
+        open_source=True,
+    ),
+):
+    MODEL_REGISTRY.register(_profile.name, _profile)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.lookup import RegistryLookupError
+from repro.util.lookup import Registry, RegistryLookupError
 from repro.util.rng import rng_for
 
 __all__ = [
@@ -92,36 +92,28 @@ class FaultKind:
             )
 
 
-_KIND_REGISTRY: dict[str, FaultKind] = {}
+class FaultKindNotFoundError(RegistryLookupError):
+    """Raised for a fault kind nobody registered."""
+
+    noun = "fault kind"
+    available_label = "available"
+
+
+_KINDS: Registry[FaultKind] = Registry(FaultKindNotFoundError)
+get_fault_kind = _KINDS.__getitem__
+unregister_fault_kind = _KINDS.unregister
 
 
 def register_fault_kind(
     name: str, target: str, description: str = "", *, replace: bool = False
 ) -> FaultKind:
     """Register a failure mode; mirrors ``register_scenario`` semantics."""
-    if not replace and name in _KIND_REGISTRY:
-        raise ValueError(f"fault kind {name!r} is already registered (pass replace=True)")
-    kind = FaultKind(name=name, target=target, description=description)
-    _KIND_REGISTRY[name] = kind
-    return kind
-
-
-def unregister_fault_kind(name: str) -> None:
-    """Remove a registration (no-op if absent); used by tests and plugins."""
-    _KIND_REGISTRY.pop(name, None)
+    return _KINDS.register(name, FaultKind(name, target, description), replace=replace)
 
 
 def available_fault_kinds() -> tuple[str, ...]:
     """Registered fault kind names, registration order."""
-    return tuple(_KIND_REGISTRY)
-
-
-def get_fault_kind(name: str) -> FaultKind:
-    try:
-        return _KIND_REGISTRY[name]
-    except KeyError:
-        options = ", ".join(_KIND_REGISTRY) or "<none>"
-        raise KeyError(f"unknown fault kind {name!r}; available: {options}") from None
+    return tuple(_KINDS)
 
 
 # -- built-in kinds --------------------------------------------------------
@@ -212,46 +204,26 @@ class FaultPlanNotFoundError(RegistryLookupError):
     """Raised for a plan name nobody registered."""
 
     noun = "fault plan"
-    available_label = "available plans"
-
-    @property
-    def plan_name(self) -> str:
-        return self.unknown[0]
-
-    def available_cli_line(self) -> str:
-        return f"available fault plans: {self.options()}"
+    available_label = "available fault plans"
 
 
-_PLAN_REGISTRY: dict[str, FaultPlan] = {}
+_PLANS: Registry[FaultPlan] = Registry(FaultPlanNotFoundError)
+get_fault_plan = _PLANS.__getitem__
+unregister_fault_plan = _PLANS.unregister
 
 
 def register_fault_plan(plan: FaultPlan, *, replace: bool = False) -> FaultPlan:
     """Register a plan; a silently shadowed plan would un-pin a chaos gate."""
-    if not replace and plan.name in _PLAN_REGISTRY:
-        raise ValueError(f"fault plan {plan.name!r} is already registered (pass replace=True)")
-    _PLAN_REGISTRY[plan.name] = plan
-    return plan
-
-
-def unregister_fault_plan(name: str) -> None:
-    """Remove a registration (no-op if absent); used by tests and plugins."""
-    _PLAN_REGISTRY.pop(name, None)
+    return _PLANS.register(plan.name, plan, replace=replace)
 
 
 def available_fault_plans() -> tuple[str, ...]:
     """Registered plan names, registration order."""
-    return tuple(_PLAN_REGISTRY)
-
-
-def get_fault_plan(name: str) -> FaultPlan:
-    try:
-        return _PLAN_REGISTRY[name]
-    except KeyError:
-        raise FaultPlanNotFoundError(name, available_fault_plans()) from None
+    return tuple(_PLANS)
 
 
 def iter_fault_plans() -> tuple[FaultPlan, ...]:
-    return tuple(_PLAN_REGISTRY.values())
+    return _PLANS.entries()
 
 
 # -- built-in pinned plans (the chaos gate sweeps exactly these) -----------

@@ -65,6 +65,9 @@ __all__ = [
     "DiagnosisServer",
 ]
 
+# Modeled stage times: its default values are part of the snapshot schema.
+_LATENCY = LatencyModel()
+
 
 class ServeError(RuntimeError):
     """Base of every serving-layer failure."""
@@ -162,7 +165,6 @@ class DiagnosisServer:
         store: "ResultStore | str | None" = None,
         queue_depth: int = 64,
         workers: int = 4,
-        latency_model: LatencyModel | None = None,
         wall_clock: bool = False,
         autostart: bool = True,
     ) -> None:
@@ -175,7 +177,6 @@ class DiagnosisServer:
         self.service = service
         self.queue_depth = queue_depth
         self.n_workers = workers
-        self.latency_model = latency_model if latency_model is not None else LatencyModel()
         self.wall_clock = wall_clock
 
         self._lock = threading.Lock()
@@ -367,13 +368,13 @@ class DiagnosisServer:
                     completion_tokens=metrics.completion_tokens,
                     calls=metrics.calls,
                 )
-                seconds = self.latency_model.stage_seconds(usage)
+                seconds = _LATENCY.stage_seconds(usage)
             total += seconds
             hist = self._stage_hist(stage)
             hist.observe(seconds)
         if not stages and not self.wall_clock:
             # Tools without stages (and failed runs) still cost the model floor.
-            total = self.latency_model.base_seconds
+            total = _LATENCY.base_seconds
         self._request_hist.observe(total)
 
     def _stage_hist(self, stage: str) -> FixedBucketHistogram:

@@ -1,20 +1,20 @@
 """The scenario registry: workloads + ground truth as a uniform extension surface.
 
-Mirrors the tool registry (:mod:`repro.core.registry`): where a
-``DiagnosticTool`` is "one trace in, one report out", a :class:`Scenario`
-is "nothing in, one labeled trace out" — a workload builder plus the
-expert ground truth (``root_causes``), a difficulty tier, and free-form
-tags.  Everything that enumerates workloads — the TraceBench build, the
-evaluation harness, the batch runner, and the CLI — resolves scenarios
-through this registry, so adding a workload to the whole system is one
-``register_scenario`` call.
+Where a ``DiagnosticTool`` (:mod:`repro.core.registry`) is "one trace in,
+one report out", a :class:`Scenario` is "nothing in, one labeled trace
+out" — a workload builder plus the expert ground truth (``root_causes``),
+a difficulty tier, and free-form tags.  Everything that enumerates
+workloads — the TraceBench build, the evaluation harness, the batch
+runner, and the CLI — resolves scenarios through this registry, so adding
+a workload to the whole system is one ``register_scenario`` call.
 
-Built-in scenarios load lazily from two modules:
+Built-in scenarios load lazily from three modules:
 
 * :mod:`repro.tracebench.spec` — the paper's 40 TraceBench traces, tagged
   ``tracebench`` plus their source;
-* :mod:`repro.workloads.pathologies` — the extended pathology tier (12
-  scenarios, tagged ``pathology``), including a clean-baseline control.
+* :mod:`repro.workloads.pathologies` — the extended pathology tier (21
+  scenarios, tagged ``pathology``), including a clean-baseline control;
+* :mod:`repro.workloads.fuzz` — 16 generated compositions, tagged ``fuzz``.
 
 Ordering is registration order (suite order), not alphabetical: the
 TraceBench sources keep their paper grouping and tables stay comparable.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.issues import ISSUE_KEYS
-from repro.util.lookup import RegistryLookupError
+from repro.util.lookup import Registry, RegistryLookupError
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,10 +90,6 @@ class Scenario:
         if unknown:
             raise ValueError(f"unknown root causes for {self.name}: {sorted(unknown)}")
 
-    def matches(self, selector: str) -> bool:
-        """Whether a CLI/harness selector token picks this scenario."""
-        return selector == self.name or selector in self.selectors()
-
     def selectors(self) -> frozenset[str]:
         """Every non-name token that selects this scenario."""
         return frozenset((self.source, self.difficulty, *self.tags))
@@ -143,34 +139,15 @@ class SeriesScenarioNotFoundError(ScenarioNotFoundError):
         return f"available series scenarios: {self.options()}"
 
 
-_REGISTRY: dict[str, Scenario] = {}
-
 # Built-in scenarios resolve lazily so importing the registry stays cheap
 # and cycle-free (spec -> workloads, pathologies -> patterns).
-_BUILTIN_MODULES = (
-    "repro.tracebench.spec",
-    "repro.workloads.pathologies",
-    "repro.workloads.fuzz",
+_SCENARIOS: Registry[Scenario] = Registry(
+    ScenarioNotFoundError,
+    builtins=("repro.tracebench.spec", "repro.workloads.pathologies", "repro.workloads.fuzz"),
+    tokens=Scenario.selectors,
 )
-_builtins_loaded = False
-_builtins_loading = False  # reentrancy guard: builtins register during import
-
-
-def _ensure_builtins() -> None:
-    global _builtins_loaded, _builtins_loading
-    if _builtins_loaded or _builtins_loading:
-        return
-    import importlib
-
-    _builtins_loading = True
-    try:
-        for module in _BUILTIN_MODULES:
-            importlib.import_module(module)
-        # Set only once every builtin imported cleanly, so a failed import
-        # surfaces again instead of leaving the registry silently partial.
-        _builtins_loaded = True
-    finally:
-        _builtins_loading = False
+get_scenario = _SCENARIOS.__getitem__
+unregister_scenario = _SCENARIOS.unregister
 
 
 def register_scenario(scenario: Scenario, *, replace: bool = False) -> Scenario:
@@ -181,18 +158,7 @@ def register_scenario(scenario: Scenario, *, replace: bool = False) -> Scenario:
     scenarios load first so a plugin collision with a benchmark name is
     caught here, at the plugin's call site, not inside a later query.
     """
-    _ensure_builtins()
-    if not replace and scenario.name in _REGISTRY:
-        raise ValueError(
-            f"scenario {scenario.name!r} is already registered (pass replace=True)"
-        )
-    _REGISTRY[scenario.name] = scenario
-    return scenario
-
-
-def unregister_scenario(name: str) -> None:
-    """Remove a registration (no-op if absent); used by tests and plugins."""
-    _REGISTRY.pop(name, None)
+    return _SCENARIOS.register(scenario.name, scenario, replace=replace)
 
 
 def available_scenarios(tag: str | None = None) -> tuple[str, ...]:
@@ -206,29 +172,15 @@ def available_scenarios(tag: str | None = None) -> tuple[str, ...]:
 
 def iter_scenarios(tag: str | None = None) -> tuple[Scenario, ...]:
     """Registered :class:`Scenario` objects, optionally selector-filtered."""
-    _ensure_builtins()
-    scenarios = tuple(_REGISTRY.values())
-    if tag is None:
-        return scenarios
-    return tuple(s for s in scenarios if s.matches(tag))
+    return _SCENARIOS.entries(tag)
 
 
 def available_tags() -> tuple[str, ...]:
     """Every selector token (tags, sources, difficulties) in use, sorted."""
-    _ensure_builtins()
     tokens: set[str] = set()
-    for scenario in _REGISTRY.values():
+    for scenario in _SCENARIOS.entries():
         tokens |= scenario.selectors()
     return tuple(sorted(tokens))
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look up one scenario by exact name."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ScenarioNotFoundError(name, available_scenarios()) from None
 
 
 def select_scenarios(selectors: Iterable[str]) -> list[Scenario]:
@@ -239,14 +191,12 @@ def select_scenarios(selectors: Iterable[str]) -> list[Scenario]:
     :class:`ScenarioNotFoundError` listing all of them, so callers (the
     CLI among them) can show a single friendly error.
     """
-    _ensure_builtins()
     picked: dict[str, Scenario] = {}
     unknown: list[str] = []
     for token in selectors:
-        matched = [s for s in _REGISTRY.values() if s.matches(token)]
+        matched = _SCENARIOS.entries(token)
         if not matched:
             unknown.append(token)
-            continue
         for scenario in matched:
             picked.setdefault(scenario.name, scenario)
     if unknown:
@@ -338,69 +288,28 @@ class SeriesScenario:
         return get_scenario(self.base)
 
 
-_SERIES_REGISTRY: dict[str, SeriesScenario] = {}
-
-_SERIES_BUILTIN_MODULES = ("repro.workloads.series",)
-_series_builtins_loaded = False
-_series_builtins_loading = False
-
-
-def _ensure_series_builtins() -> None:
-    global _series_builtins_loaded, _series_builtins_loading
-    if _series_builtins_loaded or _series_builtins_loading:
-        return
-    import importlib
-
-    _series_builtins_loading = True
-    try:
-        for module in _SERIES_BUILTIN_MODULES:
-            importlib.import_module(module)
-        _series_builtins_loaded = True
-    finally:
-        _series_builtins_loading = False
+_SERIES: Registry[SeriesScenario] = Registry(
+    SeriesScenarioNotFoundError,
+    builtins=("repro.workloads.series",),
+    tokens=lambda s: (s.source, s.difficulty, *s.tags),
+)
+get_series_scenario = _SERIES.__getitem__
+unregister_series_scenario = _SERIES.unregister
 
 
 def register_series_scenario(series: SeriesScenario, *, replace: bool = False) -> SeriesScenario:
     """Register ``series`` under its name (same contract as scenarios)."""
-    _ensure_series_builtins()
-    if not replace and series.name in _SERIES_REGISTRY:
-        raise ValueError(
-            f"series scenario {series.name!r} is already registered (pass replace=True)"
-        )
-    _SERIES_REGISTRY[series.name] = series
-    return series
-
-
-def unregister_series_scenario(name: str) -> None:
-    """Remove a series registration (no-op if absent)."""
-    _SERIES_REGISTRY.pop(name, None)
+    return _SERIES.register(series.name, series, replace=replace)
 
 
 def iter_series_scenarios(tag: str | None = None) -> tuple[SeriesScenario, ...]:
     """Registered series scenarios in registration order, tag-filtered."""
-    _ensure_series_builtins()
-    series = tuple(_SERIES_REGISTRY.values())
-    if tag is None:
-        return series
-    return tuple(
-        s
-        for s in series
-        if tag == s.name or tag in (s.source, s.difficulty, *s.tags)
-    )
+    return _SERIES.entries(tag)
 
 
 def available_series_scenarios(tag: str | None = None) -> tuple[str, ...]:
     """Registered series names in registration order."""
     return tuple(s.name for s in iter_series_scenarios(tag))
-
-
-def get_series_scenario(name: str) -> SeriesScenario:
-    """Look up one series scenario by exact name."""
-    _ensure_series_builtins()
-    try:
-        return _SERIES_REGISTRY[name]
-    except KeyError:
-        raise SeriesScenarioNotFoundError(name, available_series_scenarios()) from None
 
 
 def build_series(series: SeriesScenario | str, seed: int = 0) -> list["LabeledTrace"]:

@@ -13,7 +13,7 @@ import re
 from typing import Callable, TypeVar
 
 from repro.darshan.log import DarshanLog, JobHeader
-from repro.darshan.parser import DarshanParseError, ParseReport, SkippedLine
+from repro.darshan.parser import DarshanParseError, ParseReport, SkippedLine, _renders
 from repro.darshan.records import DarshanRecord
 from repro.darshan.segtable import SegmentTable, SegmentTableBuilder
 
@@ -122,7 +122,7 @@ def oracle_parse_with_report(
         uid=_header_value(header_fields, "uid", int),
         jobid=_header_value(header_fields, "jobid", int),
         nprocs=_header_value(header_fields, "nprocs", int, lambda n: n > 0),
-        start_time=_header_value(header_fields, "start_time", int),
+        start_time=_header_value(header_fields, "start_time", int, _renders),
         end_time=_header_value(header_fields, "end_time", int),
         run_time=_header_value(header_fields, "run time", float, lambda t: not t < 0),
         log_version=header_fields.get("darshan log version", "3.41"),

@@ -10,7 +10,7 @@ from darshan_oracle import oracle_parse_dxt_text, oracle_parse_with_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.service import trace_digest
+from repro.core.service import DiagnosisService, trace_digest
 from repro.darshan.counters import (
     MODULE_COUNTERS,
     SIZE_BIN_EDGES,
@@ -668,12 +668,53 @@ class TestOneOddLineBreak:
 
 
 class TestJobTimeOutOfRange:
-    """A job time the writer cannot render still parses, as the oracle parses it."""
+    """A job time the writer cannot render is a malformed header field."""
+
+    @staticmethod
+    def _sb01_starting(value: str) -> str:
+        text = _BASE_TEXTS["sb01"]()
+        return re.sub(r"^# start_time: .*$", f"# start_time: {value}", text, count=1, flags=re.M)
 
     def test_start_time_beyond_int64(self):
-        text = _BASE_TEXTS["sb01"]()
-        text = re.sub(r"^# start_time: .*$", "# start_time: 1" + "0" * 20, text, count=1, flags=re.M)
-        for lenient in (False, True):  # its digest cannot render the header either
+        text = self._sb01_starting("1" + "0" * 20)
+        for lenient in (False, True):  # the digest could not render its header
             new = _outcome(parse_darshan_text_with_report, text, lenient)
             assert new == _outcome(oracle_parse_with_report, text, lenient)
-        assert parse_darshan_text(text).counter_table.memo is None
+            with pytest.raises(DarshanParseError, match="header field 'start_time'"):
+                parse_darshan_text(text, lenient=lenient)
+
+    # gmtime refuses the first and last; strftime refuses the middle one.
+    @pytest.mark.parametrize("start", ["1" + "0" * 17, "67768036191676799", "-67768040609740801"])
+    def test_times_the_platform_cannot_date(self, start):
+        with pytest.raises(DarshanParseError, match="header field 'start_time'"):
+            parse_darshan_text(self._sb01_starting(start))
+
+    def test_far_but_datable_time_parses_and_digests(self):
+        log = parse_darshan_text(self._sb01_starting("253402300800"))
+        assert log.header.start_time_ascii.endswith(" 10000")
+        assert trace_digest(log) == hashlib.sha256(render_darshan_text(log).encode()).hexdigest()
+
+
+class TestLoneSurrogatePath:
+    """A path holding a lone surrogate parses, digests and keys like any other."""
+
+    @staticmethod
+    def _assert_keyed(text: str, clean: str) -> None:
+        log = parse_darshan_text(text)
+        digest = trace_digest(log)
+        assert digest != trace_digest(parse_darshan_text(clean))
+        assert DiagnosisService(tool="drishti").cache_key(log)[0] == digest
+
+    def test_counter_path(self):
+        clean = _BASE_TEXTS["sb01"]()
+        path = parse_darshan_text(clean).records[0].path
+        text = clean.replace(f"\t{path}\t", f"\t{path}\udc80\t")
+        assert any("\udc80" in r.path for r in parse_darshan_text(text).records)
+        self._assert_keyed(text, clean)
+
+    def test_dxt_path(self):
+        clean = _BASE_TEXTS["path14"]()
+        marker = clean.index("# DXT")
+        path = parse_darshan_text(clean).dxt_segments[0].path
+        text = clean[:marker] + clean[marker:].replace(path, path + "\udc80")
+        self._assert_keyed(text, clean)
