@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "10.0.0"  # major: a taken registry name raises; DiagnosisServer lost latency_model
+__version__ = "11.0.0"  # major: built-in phases return an OpBlock, not a generator
 
 __all__ = [
     # tools

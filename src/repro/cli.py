@@ -433,7 +433,7 @@ def _cmd_evaluate(args) -> int:
     from repro.evaluation.tables import render_table4
     from repro.tracebench import build_tracebench
     from repro.tracebench.dataset import TraceBench
-    from repro.tracebench.spec import TRACE_SPECS
+    from repro.tracebench.spec import TRACE_SPECS, TraceIdNotFoundError
     from repro.workloads.scenarios import build_scenario, select_scenarios
 
     # The full 40-trace build is only paid when a TraceBench trace is
@@ -459,11 +459,7 @@ def _cmd_evaluate(args) -> int:
         wanted = [t.strip() for t in args.traces.split(",") if t.strip()]
         unknown = [t for t in wanted if t not in tracebench_ids]
         if unknown:
-            print(f"error: unknown trace id(s): {', '.join(unknown)}", file=sys.stderr)
-            print("available trace ids:", file=sys.stderr)
-            for tid in sorted(tracebench_ids):
-                print(f"  {tid}", file=sys.stderr)
-            return 2
+            raise TraceIdNotFoundError(unknown, sorted(tracebench_ids))
         have = {t.trace_id for t in selected}
         selected.extend(suite().get(t) for t in wanted if t not in have)
     bench = TraceBench(traces=selected, seed=args.seed) if selected else suite()

@@ -24,7 +24,16 @@ from array import array
 import numpy as np
 
 from repro.sim.filesystem import LustreFileSystem
-from repro.sim.ops import API, IOOp, OpKind
+from repro.sim.ops import (
+    API_CODE,
+    APIS,
+    COLLECTIVE,
+    KIND_CODE,
+    MEM_NOT_ALIGNED,
+    NONBLOCKING,
+    IOOp,
+    OpKind,
+)
 
 __all__ = [
     "APIS",
@@ -38,15 +47,10 @@ __all__ = [
     "OpTableBuilder",
 ]
 
-APIS: tuple[API, ...] = tuple(API)
-KIND_CODE: dict[OpKind, int] = {kind: code for code, kind in enumerate(OpKind)}
-API_CODE: dict[API, int] = {api: code for code, api in enumerate(APIS)}
-
-# Flag bits.  IN_FS marks a path under the filesystem's mount point: its
-# record names that mount and, on Lustre, the row has a serving OST.
-COLLECTIVE = 1
-NONBLOCKING = 2
-MEM_NOT_ALIGNED = 4
+# Flag bits: an op's own (COLLECTIVE, NONBLOCKING, MEM_NOT_ALIGNED, from
+# repro.sim.ops) plus IN_FS, which marks a path under the filesystem's
+# mount point: its record names that mount and, on Lustre, the row has a
+# serving OST.
 IN_FS = 8
 
 # Column names and the array typecodes their buffers use.
@@ -97,9 +101,10 @@ class OpTable:
 class OpTableBuilder:
     """Append-only typed column buffers that :meth:`build` an :class:`OpTable`.
 
-    :meth:`add` takes one row as codes (the runtime's hot loop);
-    :meth:`append` takes it as an :class:`IOOp` plus the filesystem the
-    op's path lives on, the arguments an instrument's ``on_op`` gets.
+    :meth:`extend` takes many rows as whole columns (the runtime hands
+    over one block's rows at a time); :meth:`append` takes one
+    :class:`IOOp` plus the filesystem the op's path lives on, the
+    arguments an instrument's ``on_op`` gets.
     ``build`` hands the filled buffers to the table without copying and
     starts new ones, so rows added later land in the next table.
     """
@@ -116,29 +121,19 @@ class OpTableBuilder:
         self._buffers = tuple(array(code) for code in _TYPECODES)
         self._appends = tuple(buffer.append for buffer in self._buffers)
 
-    def add(
-        self,
-        kind: int,
-        api: int,
-        flags: int,
-        rank: int,
-        path: int,
-        offset: int,
-        size: int,
-        start: float,
-        end: float,
-    ) -> None:
-        """Append one row given as codes (``path`` from :meth:`path_code`)."""
-        a = self._appends
-        a[0](kind)
-        a[1](api)
-        a[2](flags)
-        a[3](rank)
-        a[4](path)
-        a[5](offset)
-        a[6](size)
-        a[7](start)
-        a[8](end)
+    def extend(self, *columns: np.ndarray) -> None:
+        """Append rows given as whole columns, in the table's column order.
+
+        ``path`` holds codes from :meth:`path_code`.
+        """
+        self._flush()
+        self._parts.append(tuple(np.asarray(c, dtype=code) for c, code in zip(columns, _TYPECODES)))
+
+    def _flush(self) -> None:
+        """Move the rows added one at a time into a part of their own."""
+        if len(self._buffers[0]):
+            self._parts.append(tuple(np.frombuffer(b, dtype=b.typecode) for b in self._buffers))
+            self._open()
 
     def __len__(self) -> int:
         return len(self._buffers[0]) + sum(part[0].size for part in self._parts)
@@ -166,7 +161,7 @@ class OpTableBuilder:
         if fs is not None:
             flags |= IN_FS
             self.fs = fs
-        self.add(
+        row = (
             KIND_CODE[op.kind],
             API_CODE[op.api],
             flags,
@@ -177,14 +172,12 @@ class OpTableBuilder:
             t_start,
             t_end,
         )
+        for push, value in zip(self._appends, row):
+            push(value)
 
     def build(self) -> OpTable:
         """Every row added so far, as a table."""
-        if len(self._buffers[0]):
-            self._parts.append(
-                tuple(np.frombuffer(b, dtype=b.typecode) for b in self._buffers)
-            )
-            self._open()
+        self._flush()
         if len(self._parts) > 1:
             self._parts[:] = [tuple(np.concatenate(c) for c in zip(*self._parts))]
         if self._parts:

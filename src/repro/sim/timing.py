@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.util.units import MiB
 
 __all__ = ["PerfModel"]
@@ -51,6 +53,17 @@ class PerfModel:
         if not sequential:
             t += self.seek_penalty
         return t
+
+    def transfer_times(
+        self, size: np.ndarray, osts_used: np.ndarray, sequential: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`transfer_time` of many transfers at once.
+
+        The same float operations in the same order, so every element
+        equals the scalar method's result for that transfer.
+        """
+        t = self.op_latency + size / (self.ost_bandwidth * np.maximum(1, osts_used))
+        return np.where(sequential, t, t + self.seek_penalty)
 
     def metadata_time(self) -> float:
         """Seconds for one metadata operation (open/stat/seek/close)."""

@@ -17,15 +17,29 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.issues import ISSUE_KEYS
+from repro.util.lookup import RegistryLookupError
 from repro.workloads.base import Workload
 from repro.workloads.io500 import IO500_BUILDERS, IO500_CONFIGS
 from repro.workloads.real_apps import REAL_APP_BUILDERS
 from repro.workloads.scenarios import Scenario, register_scenario
 from repro.workloads.simple_bench import SIMPLE_BENCH_BUILDERS
 
-__all__ = ["TraceSpec", "TRACE_SPECS", "table3_counts", "TABLE3_EXPECTED"]
+__all__ = [
+    "TraceSpec",
+    "TRACE_SPECS",
+    "TraceIdNotFoundError",
+    "table3_counts",
+    "TABLE3_EXPECTED",
+]
 
 SOURCES = ("simple-bench", "io500", "real-applications")
+
+
+class TraceIdNotFoundError(RegistryLookupError):
+    """Raised for a TraceBench trace id that names no trace."""
+
+    noun = "trace id"
+    available_label = "available trace ids"
 
 
 @dataclass(frozen=True, slots=True)

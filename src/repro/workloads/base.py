@@ -10,7 +10,7 @@ import numpy as np
 from repro.darshan.instrument import DarshanInstrument
 from repro.darshan.log import DarshanLog
 from repro.sim.filesystem import LustreFileSystem
-from repro.sim.ops import IOOp
+from repro.sim.ops import IOOp, OpBlock
 from repro.sim.runtime import IORuntime, JobResult, JobSpec
 from repro.sim.timing import PerfModel
 from repro.util.rng import rng_for
@@ -30,9 +30,14 @@ class WorkloadContext:
 
 
 class PhaseFn(Protocol):
-    """A phase maps the context to an operation stream."""
+    """A phase maps the context to an operation stream.
 
-    def __call__(self, ctx: WorkloadContext) -> Iterable[IOOp]: ...
+    The stream is one :class:`~repro.sim.ops.OpBlock` (every built-in
+    phase returns one) or any iterable of :class:`~repro.sim.ops.IOOp`,
+    which the runtime batches into a block on entry.
+    """
+
+    def __call__(self, ctx: WorkloadContext) -> OpBlock | Iterable[IOOp]: ...
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ def run_workload(workload: Workload, seed: int = 0) -> tuple[DarshanLog, JobResu
         start_time=1_700_000_000 + workload.jobid * 3600,
     )
 
-    def ops() -> Iterable[IOOp]:
+    def ops() -> Iterable[IOOp | OpBlock]:
         for i, phase in enumerate(workload.phases):
             ctx = WorkloadContext(
                 nprocs=workload.nprocs,
@@ -113,7 +118,11 @@ def run_workload(workload: Workload, seed: int = 0) -> tuple[DarshanLog, JobResu
                 rng=rng_for(seed, "workload", workload.name, "phase", i),
                 phase_index=i,
             )
-            yield from phase(ctx)
+            stream = phase(ctx)
+            if isinstance(stream, OpBlock):
+                yield stream
+            else:
+                yield from stream
 
     result = IORuntime(spec, fs, perf=workload.perf).run(ops())
     run_time = result.runtime + workload.compute_seconds

@@ -2,8 +2,14 @@
 
 Every TraceBench issue corresponds to an operation-stream behaviour; these
 factories produce those behaviours.  A phase factory returns a closure that
-maps a :class:`~repro.workloads.base.WorkloadContext` to an op stream, so
-workloads are declarative compositions.
+maps a :class:`~repro.workloads.base.WorkloadContext` to the phase's ops,
+so workloads are declarative compositions.  Each phase builds its ops as
+one :class:`~repro.sim.ops.OpBlock` with numpy: a loop nest such as
+"request ``i`` of every rank, rank by rank" is a ``np.tile`` of the ranks
+against a ``np.repeat`` of ``i``, and groups that alternate (writes, then
+each rank's sync, burst after burst) are ordered by a stable sort on
+their position.  Each phase also records the call that built it as
+``phase.built_by``, ``(factory name, args, kwargs)``.
 
 Conventions:
 
@@ -19,11 +25,20 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
+from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.sim.ops import API, IOOp, OpKind
+from repro.sim.ops import (
+    API,
+    API_CODE,
+    COLLECTIVE,
+    KIND_CODE,
+    MEM_NOT_ALIGNED,
+    OpBlock,
+    OpKind,
+)
 from repro.workloads.base import PhaseFn, WorkloadContext
 
 __all__ = [
@@ -45,6 +60,29 @@ __all__ = [
 ]
 
 _API_MAP = {"posix": API.POSIX, "mpiio": API.MPIIO, "stdio": API.STDIO}
+_API_CODES = {name: API_CODE[api] for name, api in _API_MAP.items()}
+_POSIX = API_CODE[API.POSIX]
+_STDIO = API_CODE[API.STDIO]
+_OPEN = KIND_CODE[OpKind.OPEN]
+_READ = KIND_CODE[OpKind.READ]
+_WRITE = KIND_CODE[OpKind.WRITE]
+_STAT = KIND_CODE[OpKind.STAT]
+_SYNC = KIND_CODE[OpKind.SYNC]
+_CLOSE = KIND_CODE[OpKind.CLOSE]
+_COMPUTE = KIND_CODE[OpKind.COMPUTE]
+_BARRIER = KIND_CODE[OpKind.BARRIER]
+
+
+def _factory(make: Callable[..., PhaseFn]) -> Callable[..., PhaseFn]:
+    """Record on each phase ``make`` returns the call that built it."""
+
+    @functools.wraps(make)
+    def factory(*args, **kwargs) -> PhaseFn:
+        phase = make(*args, **kwargs)
+        phase.built_by = (make.__name__, args, kwargs)  # type: ignore[attr-defined]
+        return phase
+
+    return factory
 
 
 def _rank_paths(path: str, layout: str, nprocs: int) -> list[str]:
@@ -53,6 +91,13 @@ def _rank_paths(path: str, layout: str, nprocs: int) -> list[str]:
     if layout == "shared":
         return [path] * nprocs
     raise ValueError(f"unknown layout {layout!r}")
+
+
+def _rank_files(path: str, layout: str, nprocs: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct paths of :func:`_rank_paths`, and each rank's index into them."""
+    if layout == "shared":
+        return (path,), np.zeros(nprocs, dtype=np.int64)
+    return tuple(_rank_paths(path, layout, nprocs)), np.arange(nprocs)
 
 
 def _offsets_for_rank(
@@ -81,6 +126,30 @@ def _offsets_for_rank(
     return offsets
 
 
+def _rounds(count: int, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``for i in range(count): for r in ranks``, as (i, r) columns."""
+    return np.repeat(np.arange(count), ranks.size), np.tile(ranks, count)
+
+
+def _framed(
+    paths: tuple[str, ...], api: int, ranks: np.ndarray, where: np.ndarray, body: OpBlock
+) -> OpBlock:
+    """``body`` between an open and a close of each rank's file, rank by rank."""
+    return OpBlock.concat(
+        [
+            OpBlock(paths, _OPEN, api, ranks, where),
+            body,
+            OpBlock(paths, _CLOSE, api, ranks, where),
+        ]
+    )
+
+
+def _in_order(parts: list[OpBlock], keys: list[np.ndarray]) -> OpBlock:
+    """The rows of ``parts`` sorted by ``keys`` (one per row); ties keep part order."""
+    return OpBlock.concat(parts).take(np.argsort(np.concatenate(keys), kind="stable"))
+
+
+@_factory
 def data_phase(
     path: str,
     direction: str,
@@ -105,48 +174,61 @@ def data_phase(
         raise ValueError("direction must be 'read' or 'write'")
     if collective and api != "mpiio":
         raise ValueError("collective phases require api='mpiio'")
-    kind = OpKind.READ if direction == "read" else OpKind.WRITE
-    api_enum = _API_MAP[api]
+    kind = _READ if direction == "read" else _WRITE
+    api_code = _API_CODES[api]
+    coll = COLLECTIVE if collective else 0
+    data_flags = coll | (0 if mem_aligned else MEM_NOT_ALIGNED)
+    closing = [_SYNC, _CLOSE] if fsync else [_CLOSE]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        paths = _rank_paths(path, layout, ctx.nprocs)
-        opened: set[tuple[int, str]] = set()
-        per_rank_offsets = [
-            _offsets_for_rank(r, ctx.nprocs, count_per_rank, xfer, layout, pattern, ctx.rng)
-            for r in range(ctx.nprocs)
-        ]
-        for r in range(ctx.nprocs):
-            if open_per_rank and (r, paths[r]) not in opened:
-                opened.add((r, paths[r]))
-                yield IOOp(
-                    kind=OpKind.OPEN,
-                    api=api_enum,
-                    rank=r,
-                    path=paths[r],
-                    collective=collective,
-                )
-        # Interleave requests round-robin across ranks so the op stream
-        # resembles a real parallel execution trace.
-        for i in range(count_per_rank):
-            for r in range(ctx.nprocs):
-                yield IOOp(
-                    kind=kind,
-                    api=api_enum,
-                    rank=r,
-                    path=paths[r],
-                    offset=int(per_rank_offsets[r][i]) + unaligned_shim,
-                    size=xfer,
-                    collective=collective,
-                    mem_aligned=mem_aligned,
-                )
-        for r in range(ctx.nprocs):
-            if fsync:
-                yield IOOp(kind=OpKind.SYNC, api=api_enum, rank=r, path=paths[r])
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths, where = _rank_files(path, layout, n)
+        ranks = np.arange(n)
+        offsets = np.array(
+            [
+                _offsets_for_rank(r, n, count_per_rank, xfer, layout, pattern, ctx.rng)
+                for r in range(n)
+            ],
+            dtype=np.int64,
+        ).reshape(n, count_per_rank)
+        parts = []
+        if open_per_rank:
+            parts.append(OpBlock(paths, _OPEN, api_code, ranks, where, flags=coll))
+        # Requests go round-robin across ranks so the op stream resembles a
+        # real parallel execution trace: the offset matrix, transposed.
+        parts.append(
+            OpBlock(
+                paths,
+                kind,
+                api_code,
+                np.tile(ranks, count_per_rank),
+                np.tile(where, count_per_rank),
+                offset=offsets.T.ravel() + unaligned_shim,
+                size=xfer,
+                flags=data_flags,
+            )
+        )
+        parts.append(
+            OpBlock(
+                paths,
+                np.tile(closing, n),
+                api_code,
+                np.repeat(ranks, len(closing)),
+                np.repeat(where, len(closing)),
+            )
+        )
+        return OpBlock.concat(parts)
 
     return phase
 
 
+def _per_file_paths(directory: str, nprocs: int, files_per_rank: int) -> tuple[str, ...]:
+    return tuple(
+        f"{directory}/rank{r:04d}/f{i:06d}" for r in range(nprocs) for i in range(files_per_rank)
+    )
+
+
+@_factory
 def metadata_phase(
     directory: str,
     files_per_rank: int,
@@ -160,29 +242,27 @@ def metadata_phase(
     Models mdtest and the *High Metadata Load* issue: per file, an open,
     an optional stat, an optional tiny write, and a close.
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
+    per_file = (
+        [_OPEN] + ([_STAT] if with_stat else []) + ([_WRITE] if data_bytes > 0 else []) + [_CLOSE]
+    )
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        for r in range(ctx.nprocs):
-            for i in range(files_per_rank):
-                fpath = f"{directory}/rank{r:04d}/f{i:06d}"
-                yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=fpath)
-                if with_stat:
-                    yield IOOp(kind=OpKind.STAT, api=api_enum, rank=r, path=fpath)
-                if data_bytes > 0:
-                    yield IOOp(
-                        kind=OpKind.WRITE,
-                        api=api_enum,
-                        rank=r,
-                        path=fpath,
-                        offset=0,
-                        size=data_bytes,
-                    )
-                yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=fpath)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        paths = _per_file_paths(directory, ctx.nprocs, files_per_rank)
+        kinds = np.tile(per_file, len(paths))
+        return OpBlock(
+            paths,
+            kinds,
+            api_code,
+            np.repeat(np.arange(ctx.nprocs), files_per_rank * len(per_file)),
+            np.repeat(np.arange(len(paths)), len(per_file)),
+            size=np.where(kinds == _WRITE, data_bytes, 0),
+        )
 
     return phase
 
 
+@_factory
 def repetitive_read_phase(
     path: str,
     region_bytes: int,
@@ -197,28 +277,18 @@ def repetitive_read_phase(
     the application moves the same bytes over and over.
     """
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        ranks = range(nranks if nranks is not None else ctx.nprocs)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        ranks = np.arange(nranks if nranks is not None else ctx.nprocs)
         reads_per_pass = max(1, region_bytes // xfer)
-        for r in ranks:
-            yield IOOp(kind=OpKind.OPEN, api=API.POSIX, rank=r, path=path)
-        for _ in range(repeats):
-            for i in range(reads_per_pass):
-                for r in ranks:
-                    yield IOOp(
-                        kind=OpKind.READ,
-                        api=API.POSIX,
-                        rank=r,
-                        path=path,
-                        offset=i * xfer,
-                        size=xfer,
-                    )
-        for r in ranks:
-            yield IOOp(kind=OpKind.CLOSE, api=API.POSIX, rank=r, path=path)
+        i, r = _rounds(reads_per_pass, ranks)
+        i, r = np.tile(i, repeats), np.tile(r, repeats)
+        reads = OpBlock((path,), _READ, _POSIX, r, offset=i * xfer, size=xfer)
+        return _framed((path,), _POSIX, ranks, np.zeros_like(ranks), reads)
 
     return phase
 
 
+@_factory
 def imbalanced_write_phase(
     path: str,
     xfer: int,
@@ -239,40 +309,43 @@ def imbalanced_write_phase(
     """
     if not 0.0 < heavy_share <= 1.0:
         raise ValueError("heavy_share must be in (0, 1]")
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        paths = _rank_paths(path, layout, ctx.nprocs)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths, where = _rank_files(path, layout, n)
+        ranks = np.arange(n)
         heavy_n = int(total_count * heavy_share)
         rest = total_count - heavy_n
-        others = [r for r in range(ctx.nprocs) if r != heavy_rank] or [heavy_rank]
-        counts = {r: 0 for r in range(ctx.nprocs)}
-        counts[heavy_rank] = heavy_n
-        for i in range(rest):
-            counts[others[i % len(others)]] += 1
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
-        shared_offset = 0
-        for r in range(ctx.nprocs):
-            local_offset = 0
-            for _ in range(counts[r]):
-                offset = shared_offset if layout == "shared" else local_offset
-                yield IOOp(
-                    kind=OpKind.WRITE,
-                    api=api_enum,
-                    rank=r,
-                    path=paths[r],
-                    offset=offset,
-                    size=xfer,
-                )
-                shared_offset += xfer
-                local_offset += xfer
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+        # The rest goes round-robin over the other ranks.
+        others = ranks[ranks != heavy_rank]
+        if not others.size:
+            others = np.array([heavy_rank])
+        counts = np.zeros(n, dtype=np.int64)
+        if 0 <= heavy_rank < n:
+            counts[heavy_rank] = heavy_n
+        k = others.size
+        np.add.at(counts, others, rest // k + (np.arange(k) < rest % k))
+        # Rank by rank, each rank's writes in turn: a shared file is
+        # appended to, a rank's own file written from its start.
+        writer = np.repeat(ranks, counts)
+        issued = np.arange(writer.size)
+        own = issued - np.repeat(np.cumsum(counts) - counts, counts)
+        writes = OpBlock(
+            paths,
+            _WRITE,
+            api_code,
+            writer,
+            where[writer],
+            offset=(issued if layout == "shared" else own) * xfer,
+            size=xfer,
+        )
+        return _framed(paths, api_code, ranks, where, writes)
 
     return phase
 
 
+@_factory
 def false_sharing_phase(
     path: str,
     record_bytes: int,
@@ -290,27 +363,21 @@ def false_sharing_phase(
     """
     if record_bytes <= 0:
         raise ValueError("record_bytes must be positive")
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
-        for i in range(count_per_rank):
-            for r in range(ctx.nprocs):
-                yield IOOp(
-                    kind=OpKind.WRITE,
-                    api=api_enum,
-                    rank=r,
-                    path=path,
-                    offset=(i * ctx.nprocs + r) * record_bytes,
-                    size=record_bytes,
-                )
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        ranks = np.arange(n)
+        i, r = _rounds(count_per_rank, ranks)
+        writes = OpBlock(
+            (path,), _WRITE, api_code, r, offset=(i * n + r) * record_bytes, size=record_bytes
+        )
+        return _framed((path,), api_code, ranks, np.zeros(n, dtype=np.int64), writes)
 
     return phase
 
 
+@_factory
 def metadata_churn_phase(
     directory: str,
     files_per_rank: int,
@@ -327,21 +394,24 @@ def metadata_churn_phase(
     """
     if cycles < 0:
         raise ValueError("cycles must be non-negative")
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
+    per_file = [_OPEN, _STAT, _CLOSE] if with_stat else [_OPEN, _CLOSE]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        for pass_no in range(1 + cycles):
-            for r in range(ctx.nprocs):
-                for i in range(files_per_rank):
-                    fpath = f"{directory}/rank{r:04d}/f{i:06d}"
-                    yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=fpath)
-                    if with_stat:
-                        yield IOOp(kind=OpKind.STAT, api=api_enum, rank=r, path=fpath)
-                    yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=fpath)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        paths = _per_file_paths(directory, ctx.nprocs, files_per_rank)
+        passes = 1 + cycles
+        return OpBlock(
+            paths,
+            np.tile(per_file, len(paths) * passes),
+            api_code,
+            np.tile(np.repeat(np.arange(ctx.nprocs), files_per_rank * len(per_file)), passes),
+            np.tile(np.repeat(np.arange(len(paths)), len(per_file)), passes),
+        )
 
     return phase
 
 
+@_factory
 def checkpoint_burst_phase(
     path: str,
     xfer: int,
@@ -359,39 +429,42 @@ def checkpoint_burst_phase(
     computes for ``compute_seconds`` before the next burst — the classic
     defensive-I/O timeline (quiet, spike, quiet, spike).
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
+    tail = ([_SYNC] if sync_each_burst else []) + ([_COMPUTE] if compute_seconds > 0 else [])
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths = (path, "")  # compute names no file
+        ranks = np.arange(n)
         seg = writes_per_burst * xfer
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
-        for b in range(bursts):
-            for i in range(writes_per_burst):
-                for r in range(ctx.nprocs):
-                    yield IOOp(
-                        kind=OpKind.WRITE,
-                        api=api_enum,
-                        rank=r,
-                        path=path,
-                        offset=(b * ctx.nprocs + r) * seg + i * xfer,
-                        size=xfer,
-                    )
-            for r in range(ctx.nprocs):
-                if sync_each_burst:
-                    yield IOOp(kind=OpKind.SYNC, api=api_enum, rank=r, path=path)
-                if compute_seconds > 0 and b < bursts - 1:
-                    yield IOOp(
-                        kind=OpKind.COMPUTE,
-                        api=api_enum,
-                        rank=r,
-                        duration=compute_seconds,
-                    )
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+        i, r = _rounds(writes_per_burst, ranks)
+        burst = np.repeat(np.arange(bursts), i.size)
+        i, r = np.tile(i, bursts), np.tile(r, bursts)
+        writes = OpBlock(
+            paths, _WRITE, api_code, r, offset=(burst * n + r) * seg + i * xfer, size=xfer
+        )
+        # After each burst, rank by rank: its sync, then its compute (none
+        # after the last burst).
+        kinds = np.tile(np.array(tail, dtype=np.int64), n * bursts)
+        after = np.repeat(np.arange(bursts), n * len(tail))
+        keep = (kinds != _COMPUTE) | (after < bursts - 1)
+        kinds, after = kinds[keep], after[keep]
+        stalls = kinds == _COMPUTE
+        tails = OpBlock(
+            paths,
+            kinds,
+            api_code,
+            np.tile(np.repeat(ranks, len(tail)), bursts)[keep],
+            stalls,
+            duration=np.where(stalls, compute_seconds, 0.0),
+        )
+        body = _in_order([writes, tails], [2 * burst, 2 * after + 1])
+        return _framed(paths, api_code, ranks, np.zeros(n, dtype=np.int64), body)
 
     return phase
 
 
+@_factory
 def read_modify_write_phase(
     path: str,
     record_bytes: int,
@@ -407,41 +480,29 @@ def read_modify_write_phase(
     non-sequential write stream — exactly how an update-in-place workload
     looks in Darshan.
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        paths = _rank_paths(path, layout, ctx.nprocs)
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
-        for i in range(count_per_rank):
-            for r in range(ctx.nprocs):
-                offset = (
-                    (i * ctx.nprocs + r) * record_bytes
-                    if layout == "shared"
-                    else i * record_bytes
-                )
-                yield IOOp(
-                    kind=OpKind.READ,
-                    api=api_enum,
-                    rank=r,
-                    path=paths[r],
-                    offset=offset,
-                    size=record_bytes,
-                )
-                yield IOOp(
-                    kind=OpKind.WRITE,
-                    api=api_enum,
-                    rank=r,
-                    path=paths[r],
-                    offset=offset,
-                    size=record_bytes,
-                )
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths, where = _rank_files(path, layout, n)
+        ranks = np.arange(n)
+        i, r = _rounds(count_per_rank, ranks)
+        offset = (i * n + r) * record_bytes if layout == "shared" else i * record_bytes
+        pairs = OpBlock(
+            paths,
+            np.tile([_READ, _WRITE], r.size),
+            api_code,
+            np.repeat(r, 2),
+            np.repeat(where[r], 2),
+            offset=np.repeat(offset, 2),
+            size=record_bytes,
+        )
+        return _framed(paths, api_code, ranks, where, pairs)
 
     return phase
 
 
+@_factory
 def fsync_per_write_phase(
     path: str,
     xfer: int,
@@ -456,30 +517,31 @@ def fsync_per_write_phase(
     turns a bandwidth problem into a metadata/commit-latency problem, with
     ``POSIX_FSYNCS`` tracking ``POSIX_WRITES`` one-for-one.
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        paths = _rank_paths(path, layout, ctx.nprocs)
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
-        for i in range(count_per_rank):
-            for r in range(ctx.nprocs):
-                offset = (i * ctx.nprocs + r) * xfer if layout == "shared" else i * xfer
-                yield IOOp(
-                    kind=OpKind.WRITE,
-                    api=api_enum,
-                    rank=r,
-                    path=paths[r],
-                    offset=offset,
-                    size=xfer,
-                )
-                yield IOOp(kind=OpKind.SYNC, api=api_enum, rank=r, path=paths[r])
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths, where = _rank_files(path, layout, n)
+        ranks = np.arange(n)
+        i, r = _rounds(count_per_rank, ranks)
+        offset = (i * n + r) * xfer if layout == "shared" else i * xfer
+        kinds = np.tile([_WRITE, _SYNC], r.size)
+        writing = kinds == _WRITE
+        pairs = OpBlock(
+            paths,
+            kinds,
+            api_code,
+            np.repeat(r, 2),
+            np.repeat(where[r], 2),
+            offset=np.where(writing, np.repeat(offset, 2), 0),
+            size=np.where(writing, xfer, 0),
+        )
+        return _framed(paths, api_code, ranks, where, pairs)
 
     return phase
 
 
+@_factory
 def straggler_phase(
     path: str,
     xfer: int,
@@ -500,40 +562,32 @@ def straggler_phase(
     """
     if slow_factor < 1 or xfer % slow_factor != 0:
         raise ValueError("slow_factor must divide xfer")
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        ranks = np.arange(n)
         small = xfer // slow_factor
-        for i in range(count_per_rank):
-            for r in range(ctx.nprocs):
-                base = (r * count_per_rank + i) * xfer
-                if r == straggler_rank:
-                    for j in range(slow_factor):
-                        yield IOOp(
-                            kind=OpKind.WRITE,
-                            api=api_enum,
-                            rank=r,
-                            path=path,
-                            offset=base + j * small,
-                            size=small,
-                        )
-                else:
-                    yield IOOp(
-                        kind=OpKind.WRITE,
-                        api=api_enum,
-                        rank=r,
-                        path=path,
-                        offset=base,
-                        size=xfer,
-                    )
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+        i, r = _rounds(count_per_rank, ranks)
+        slow = r == straggler_rank
+        pieces = np.where(slow, slow_factor, 1)
+        # Request (i, r) as its pieces: piece j at base + j * small.
+        j = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        base = (r * count_per_rank + i) * xfer
+        writes = OpBlock(
+            (path,),
+            _WRITE,
+            api_code,
+            np.repeat(r, pieces),
+            offset=np.repeat(base, pieces) + j * small,
+            size=np.repeat(np.where(slow, small, xfer), pieces),
+        )
+        return _framed((path,), api_code, ranks, np.zeros(n, dtype=np.int64), writes)
 
     return phase
 
 
+@_factory
 def compute_straggler_phase(
     path: str,
     xfer: int,
@@ -553,31 +607,35 @@ def compute_straggler_phase(
     Darshan — so the straggler exists only in the DXT timeline, where the
     slow rank's I/O window stretches far past its peers'.
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
-        for i in range(count_per_rank):
-            for r in range(ctx.nprocs):
-                if r == straggler_rank:
-                    yield IOOp(
-                        kind=OpKind.COMPUTE, api=api_enum, rank=r, duration=stall_seconds
-                    )
-                yield IOOp(
-                    kind=OpKind.WRITE,
-                    api=api_enum,
-                    rank=r,
-                    path=path,
-                    offset=(r * count_per_rank + i) * xfer,
-                    size=xfer,
-                )
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths = (path, "")  # compute names no file
+        ranks = np.arange(n)
+        i, r = _rounds(count_per_rank, ranks)
+        # The straggler's request (i, r) is a stall, then the write.
+        pieces = np.where(r == straggler_rank, 2, 1)
+        last = np.cumsum(pieces) - 1
+        stall = np.ones(last[-1] + 1 if last.size else 0, dtype=bool)
+        stall[last] = False
+        rows = np.repeat(np.arange(r.size), pieces)
+        body = OpBlock(
+            paths,
+            np.where(stall, _COMPUTE, _WRITE),
+            api_code,
+            r[rows],
+            stall,
+            offset=np.where(stall, 0, (r * count_per_rank + i)[rows] * xfer),
+            size=np.where(stall, 0, xfer),
+            duration=np.where(stall, stall_seconds, 0.0),
+        )
+        return _framed(paths, api_code, ranks, np.zeros(n, dtype=np.int64), body)
 
     return phase
 
 
+@_factory
 def lock_convoy_phase(
     path: str,
     xfer: int,
@@ -594,30 +652,31 @@ def lock_convoy_phase(
     concurrency, visible only in the DXT timeline (mean operations in
     flight ~= 1 despite every rank being active).
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        from repro.sim.ops import barrier
-
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
-        for i in range(rounds):
-            for r in range(ctx.nprocs):
-                yield barrier()  # the lock handoff: wait for the holder
-                yield IOOp(
-                    kind=OpKind.WRITE,
-                    api=api_enum,
-                    rank=r,
-                    path=path,
-                    offset=(r * rounds + i) * xfer,
-                    size=xfer,
-                )
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths = (path, "")  # barriers name no file
+        ranks = np.arange(n)
+        i, r = _rounds(rounds, ranks)
+        # Each write waits for the lock handoff: a barrier (rank 0, POSIX,
+        # as repro.sim.ops.barrier() builds it), then the write.
+        handoff = np.tile([True, False], r.size)
+        body = OpBlock(
+            paths,
+            np.where(handoff, _BARRIER, _WRITE),
+            np.where(handoff, _POSIX, api_code),
+            np.where(handoff, 0, np.repeat(r, 2)),
+            handoff,
+            offset=np.where(handoff, 0, np.repeat((r * rounds + i) * xfer, 2)),
+            size=np.where(handoff, 0, xfer),
+        )
+        return _framed(paths, api_code, ranks, np.zeros(n, dtype=np.int64), body)
 
     return phase
 
 
+@_factory
 def interference_stall_phase(
     path: str,
     xfer: int,
@@ -635,36 +694,25 @@ def interference_stall_phase(
     shared OSTs, fabric congestion, a metadata server hiccup).  The
     repeated mid-run gaps exist only in the DXT timeline.
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        paths = _rank_paths(path, "fpp", ctx.nprocs)
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
-        offset = [0] * ctx.nprocs
-        for window in range(stalls + 1):
-            for _ in range(writes_per_window):
-                for r in range(ctx.nprocs):
-                    yield IOOp(
-                        kind=OpKind.WRITE,
-                        api=api_enum,
-                        rank=r,
-                        path=paths[r],
-                        offset=offset[r],
-                        size=xfer,
-                    )
-                    offset[r] += xfer
-            if window < stalls:
-                for r in range(ctx.nprocs):
-                    yield IOOp(
-                        kind=OpKind.COMPUTE, api=api_enum, rank=r, duration=stall_seconds
-                    )
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        files, where = _rank_files(path, "fpp", n)
+        paths = (*files, "")  # the stalls name no file
+        ranks = np.arange(n)
+        k, r = _rounds((stalls + 1) * writes_per_window, ranks)
+        writes = OpBlock(paths, _WRITE, api_code, r, where[r], offset=k * xfer, size=xfer)
+        # After every window but the last, each rank stalls.
+        window, stalled = _rounds(stalls, ranks)
+        pauses = OpBlock(paths, _COMPUTE, api_code, stalled, len(files), duration=stall_seconds)
+        body = _in_order([writes, pauses], [k // max(writes_per_window, 1), window])
+        return _framed(paths, api_code, ranks, where, body)
 
     return phase
 
 
+@_factory
 def producer_consumer_phase(
     path: str,
     xfer: int,
@@ -682,46 +730,53 @@ def producer_consumer_phase(
     reads and writes on one shared file.  The alternating stall pattern
     lives purely in the DXT timeline.
     """
-    api_enum = _API_MAP[api]
+    api_code = _API_CODES[api]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        from repro.sim.ops import barrier
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        n = ctx.nprocs
+        paths = (path, "")  # barriers name no file
+        half = max(1, n // 2)
+        producers = np.arange(half)
+        consumers = np.arange(half, n)
 
-        half = max(1, ctx.nprocs // 2)
-        producers = range(half)
-        consumers = range(half, ctx.nprocs)
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
-        for round_no in range(rounds):
-            for i in range(items_per_round):
-                for r in producers:
-                    yield IOOp(
-                        kind=OpKind.WRITE,
-                        api=api_enum,
-                        rank=r,
-                        path=path,
-                        offset=((round_no * half + r) * items_per_round + i) * xfer,
-                        size=xfer,
-                    )
-            yield barrier()  # consumers may not read before the data exists
-            for i in range(items_per_round):
-                for r in consumers:
-                    yield IOOp(
-                        kind=OpKind.READ,
-                        api=api_enum,
-                        rank=r,
-                        path=path,
-                        offset=((round_no * half + (r - half) % half) * items_per_round + i)
-                        * xfer,
-                        size=xfer,
-                    )
-            yield barrier()  # producers reuse the buffers next round
-        for r in range(ctx.nprocs):
-            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+        def turns(ranks: np.ndarray) -> tuple[np.ndarray, ...]:
+            """For each round, for each item, for each of ``ranks``."""
+            i, r = _rounds(items_per_round, ranks)
+            return np.repeat(np.arange(rounds), i.size), np.tile(i, rounds), np.tile(r, rounds)
+
+        w_round, w_item, w_rank = turns(producers)
+        writes = OpBlock(
+            paths,
+            _WRITE,
+            api_code,
+            w_rank,
+            offset=((w_round * half + w_rank) * items_per_round + w_item) * xfer,
+            size=xfer,
+        )
+        r_round, r_item, r_rank = turns(consumers)
+        reads = OpBlock(
+            paths,
+            _READ,
+            api_code,
+            r_rank,
+            offset=((r_round * half + (r_rank - half) % half) * items_per_round + r_item) * xfer,
+            size=xfer,
+        )
+        # Consumers may not read before the data exists; producers reuse
+        # the buffers next round.
+        barriers = OpBlock(paths, _BARRIER, _POSIX, np.zeros(2 * rounds, dtype=np.int64), 1)
+        each = np.arange(rounds)
+        body = _in_order(
+            [writes, reads, barriers],
+            [4 * w_round, 4 * r_round + 2, np.concatenate([4 * each + 1, 4 * each + 3])],
+        )
+        ranks = np.arange(n)
+        return _framed(paths, api_code, ranks, np.zeros(n, dtype=np.int64), body)
 
     return phase
 
 
+@_factory
 def stdio_phase(
     path: str,
     direction: str,
@@ -734,23 +789,27 @@ def stdio_phase(
     """Bulk I/O through the STDIO interface (Low-Level Library issue)."""
     if direction not in ("read", "write"):
         raise ValueError("direction must be 'read' or 'write'")
-    kind = OpKind.READ if direction == "read" else OpKind.WRITE
+    kind = _READ if direction == "read" else _WRITE
+    per_rank = [_OPEN] + [kind] * count_per_rank + [_SYNC, _CLOSE]
 
-    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
-        use_ranks = list(ranks) if ranks is not None else list(range(ctx.nprocs))
-        paths = _rank_paths(path, layout, ctx.nprocs)
-        for r in use_ranks:
-            yield IOOp(kind=OpKind.OPEN, api=API.STDIO, rank=r, path=paths[r])
-            for i in range(count_per_rank):
-                yield IOOp(
-                    kind=OpKind.READ if kind is OpKind.READ else OpKind.WRITE,
-                    api=API.STDIO,
-                    rank=r,
-                    path=paths[r],
-                    offset=i * xfer,
-                    size=xfer,
-                )
-            yield IOOp(kind=OpKind.SYNC, api=API.STDIO, rank=r, path=paths[r])
-            yield IOOp(kind=OpKind.CLOSE, api=API.STDIO, rank=r, path=paths[r])
+    def phase(ctx: WorkloadContext) -> OpBlock:
+        use_ranks = np.array(
+            list(ranks) if ranks is not None else range(ctx.nprocs), dtype=np.int64
+        )
+        paths, where = _rank_files(path, layout, ctx.nprocs)
+        # Rank after rank: open, the requests in order, flush, close.
+        kinds = np.tile(per_rank, use_ranks.size)
+        step = np.tile(np.arange(len(per_rank)) - 1, use_ranks.size)
+        writer = np.repeat(use_ranks, len(per_rank))
+        moving = kinds == kind
+        return OpBlock(
+            paths,
+            kinds,
+            _STDIO,
+            writer,
+            where[writer],
+            offset=np.where(moving, step * xfer, 0),
+            size=np.where(moving, xfer, 0),
+        )
 
     return phase

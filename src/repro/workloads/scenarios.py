@@ -60,6 +60,17 @@ __all__ = [
 DIFFICULTIES = ("easy", "medium", "hard", "control")
 
 
+def _check_ground_truth(noun: str, name: str, difficulty: str, root_causes: frozenset[str]) -> None:
+    """Reject an empty name, an unknown difficulty or an unknown root cause."""
+    if not name:
+        raise ValueError(f"{noun} name must be non-empty")
+    if difficulty not in DIFFICULTIES:
+        raise ValueError(f"unknown difficulty {difficulty!r}; expected one of {DIFFICULTIES}")
+    unknown = set(root_causes) - set(ISSUE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown root causes for {name}: {sorted(unknown)}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One registered workload with its expert ground truth.
@@ -80,15 +91,7 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("scenario name must be non-empty")
-        if self.difficulty not in DIFFICULTIES:
-            raise ValueError(
-                f"unknown difficulty {self.difficulty!r}; expected one of {DIFFICULTIES}"
-            )
-        unknown = set(self.root_causes) - set(ISSUE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown root causes for {self.name}: {sorted(unknown)}")
+        _check_ground_truth("scenario", self.name, self.difficulty, self.root_causes)
 
     def selectors(self) -> frozenset[str]:
         """Every non-name token that selects this scenario."""
@@ -256,15 +259,7 @@ class SeriesScenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("series scenario name must be non-empty")
-        if self.difficulty not in DIFFICULTIES:
-            raise ValueError(
-                f"unknown difficulty {self.difficulty!r}; expected one of {DIFFICULTIES}"
-            )
-        unknown = set(self.root_causes) - set(ISSUE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown root causes for {self.name}: {sorted(unknown)}")
+        _check_ground_truth("series scenario", self.name, self.difficulty, self.root_causes)
         if self.n_runs < 2:
             raise ValueError("a series needs at least two runs")
         if not 1 <= self.baseline_runs < self.n_runs:

@@ -5,19 +5,26 @@ every executed op, lowered POSIX ops and collective-buffering chunks
 included, to its observers. :class:`OracleInstrument` and
 :class:`OracleDxtCollector` are such observers: they fold each op into
 Darshan counter state and a DXT segment as it happens. These are the
-implementations that :class:`repro.sim.runtime.IORuntime` (one ordered
-pass writing an :class:`~repro.sim.optable.OpTable`),
+implementations that :class:`repro.sim.runtime.IORuntime` (a block pass
+writing an :class:`~repro.sim.optable.OpTable`),
 :meth:`repro.darshan.instrument.DarshanInstrument.finalize` and
 :func:`repro.darshan.dxt.collect_segments` (array reductions of that
-table) replaced. Tests compare the two on generated op streams and
-registered workloads.
+table) replaced.
+
+The phase factories at the bottom are the generators
+:mod:`repro.workloads.patterns` had before its phases built
+:class:`~repro.sim.ops.OpBlock` s: one :class:`IOOp` at a time, in
+loops. :func:`oracle_phase` maps a built-in phase to its generator by
+the call that built it, and :func:`oracle_run_workload` generates
+through them. Tests compare the two paths on generated op streams,
+phase arguments and registered workloads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -38,6 +45,8 @@ from repro.sim.optable import OpTableBuilder
 from repro.sim.runtime import JobResult, JobSpec
 from repro.sim.timing import PerfModel
 from repro.util.rng import rng_for
+from repro.workloads.base import PhaseFn, WorkloadContext
+from repro.workloads.patterns import _API_MAP, _offsets_for_rank, _rank_paths
 
 __all__ = [
     "OracleRuntime",
@@ -45,6 +54,8 @@ __all__ = [
     "OracleDxtCollector",
     "oracle_run",
     "oracle_run_workload",
+    "oracle_phase",
+    "SCALAR_PHASES",
 ]
 
 
@@ -532,9 +543,10 @@ def oracle_run(
 
 
 def oracle_run_workload(workload, seed: int = 0) -> tuple[DarshanLog, JobResult]:
-    """:func:`repro.workloads.base.run_workload` on the scalar path."""
-    from repro.workloads.base import WorkloadContext
+    """:func:`repro.workloads.base.run_workload` on the scalar path.
 
+    Built-in phases generate through their scalar factories below.
+    """
     fs = LustreFileSystem(
         num_osts=workload.num_osts,
         default_stripe_size=workload.default_stripe_size,
@@ -560,7 +572,7 @@ def oracle_run_workload(workload, seed: int = 0) -> tuple[DarshanLog, JobResult]
                 rng=rng_for(seed, "workload", workload.name, "phase", i),
                 phase_index=i,
             )
-            yield from phase(ctx)
+            yield from oracle_phase(phase)(ctx)
 
     runtime = OracleRuntime(spec, fs, perf=workload.perf)
     instrument = OracleInstrument(spec, fs)
@@ -571,3 +583,717 @@ def oracle_run_workload(workload, seed: int = 0) -> tuple[DarshanLog, JobResult]
     log = instrument.finalize(result.runtime + workload.compute_seconds)
     log.dxt_segments = dxt.segments
     return log, result
+
+
+# -- scalar phase factories ----------------------------------------------------
+
+
+def oracle_phase(phase: PhaseFn) -> PhaseFn:
+    """The scalar generator of a built-in phase; any other phase as it is.
+
+    A built-in phase records the factory call that built it
+    (``phase.built_by``); the factory of that name below is called with
+    the same arguments.
+    """
+    built_by = getattr(phase, "built_by", None)
+    if built_by is None:
+        return phase
+    name, args, kwargs = built_by
+    return SCALAR_PHASES[name](*args, **kwargs)
+
+
+def data_phase(
+    path: str,
+    direction: str,
+    xfer: int,
+    count_per_rank: int,
+    *,
+    api: str = "posix",
+    collective: bool = False,
+    layout: str = "fpp",
+    pattern: str = "seq",
+    unaligned_shim: int = 0,
+    mem_aligned: bool = True,
+    open_per_rank: bool = True,
+    fsync: bool = False,
+) -> PhaseFn:
+    """A bulk read or write phase.
+
+    ``direction`` is ``'read'`` or ``'write'``.  Collective phases must use
+    the MPI-IO API; the runtime lowers them through collective buffering.
+    """
+    if direction not in ("read", "write"):
+        raise ValueError("direction must be 'read' or 'write'")
+    if collective and api != "mpiio":
+        raise ValueError("collective phases require api='mpiio'")
+    kind = OpKind.READ if direction == "read" else OpKind.WRITE
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        paths = _rank_paths(path, layout, ctx.nprocs)
+        opened: set[tuple[int, str]] = set()
+        per_rank_offsets = [
+            _offsets_for_rank(r, ctx.nprocs, count_per_rank, xfer, layout, pattern, ctx.rng)
+            for r in range(ctx.nprocs)
+        ]
+        for r in range(ctx.nprocs):
+            if open_per_rank and (r, paths[r]) not in opened:
+                opened.add((r, paths[r]))
+                yield IOOp(
+                    kind=OpKind.OPEN,
+                    api=api_enum,
+                    rank=r,
+                    path=paths[r],
+                    collective=collective,
+                )
+        # Interleave requests round-robin across ranks so the op stream
+        # resembles a real parallel execution trace.
+        for i in range(count_per_rank):
+            for r in range(ctx.nprocs):
+                yield IOOp(
+                    kind=kind,
+                    api=api_enum,
+                    rank=r,
+                    path=paths[r],
+                    offset=int(per_rank_offsets[r][i]) + unaligned_shim,
+                    size=xfer,
+                    collective=collective,
+                    mem_aligned=mem_aligned,
+                )
+        for r in range(ctx.nprocs):
+            if fsync:
+                yield IOOp(kind=OpKind.SYNC, api=api_enum, rank=r, path=paths[r])
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+
+    return phase
+
+
+def metadata_phase(
+    directory: str,
+    files_per_rank: int,
+    *,
+    with_stat: bool = True,
+    data_bytes: int = 0,
+    api: str = "posix",
+) -> PhaseFn:
+    """A metadata-heavy phase: create/stat/touch many small files.
+
+    Models mdtest and the *High Metadata Load* issue: per file, an open,
+    an optional stat, an optional tiny write, and a close.
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        for r in range(ctx.nprocs):
+            for i in range(files_per_rank):
+                fpath = f"{directory}/rank{r:04d}/f{i:06d}"
+                yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=fpath)
+                if with_stat:
+                    yield IOOp(kind=OpKind.STAT, api=api_enum, rank=r, path=fpath)
+                if data_bytes > 0:
+                    yield IOOp(
+                        kind=OpKind.WRITE,
+                        api=api_enum,
+                        rank=r,
+                        path=fpath,
+                        offset=0,
+                        size=data_bytes,
+                    )
+                yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=fpath)
+
+    return phase
+
+
+def repetitive_read_phase(
+    path: str,
+    region_bytes: int,
+    xfer: int,
+    repeats: int,
+    *,
+    nranks: int | None = None,
+) -> PhaseFn:
+    """Re-read the same region ``repeats`` times (Repetitive Data Access).
+
+    The Darshan signature is BYTES_READ far exceeding MAX_BYTE_READ + 1:
+    the application moves the same bytes over and over.
+    """
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        ranks = range(nranks if nranks is not None else ctx.nprocs)
+        reads_per_pass = max(1, region_bytes // xfer)
+        for r in ranks:
+            yield IOOp(kind=OpKind.OPEN, api=API.POSIX, rank=r, path=path)
+        for _ in range(repeats):
+            for i in range(reads_per_pass):
+                for r in ranks:
+                    yield IOOp(
+                        kind=OpKind.READ,
+                        api=API.POSIX,
+                        rank=r,
+                        path=path,
+                        offset=i * xfer,
+                        size=xfer,
+                    )
+        for r in ranks:
+            yield IOOp(kind=OpKind.CLOSE, api=API.POSIX, rank=r, path=path)
+
+    return phase
+
+
+def imbalanced_write_phase(
+    path: str,
+    xfer: int,
+    total_count: int,
+    *,
+    heavy_rank: int = 0,
+    heavy_share: float = 0.8,
+    api: str = "posix",
+    layout: str = "shared",
+) -> PhaseFn:
+    """A write phase where one rank issues a disproportionate share.
+
+    Models *Rank Load Imbalance*: ``heavy_rank`` performs ``heavy_share``
+    of all requests; remaining requests spread evenly.  With
+    ``layout='shared'`` all ranks append to one file (rank imbalance shows
+    up in the shared record's variance counters); with ``'fpp'`` each rank
+    writes its own file (imbalance shows up across per-rank records).
+    """
+    if not 0.0 < heavy_share <= 1.0:
+        raise ValueError("heavy_share must be in (0, 1]")
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        paths = _rank_paths(path, layout, ctx.nprocs)
+        heavy_n = int(total_count * heavy_share)
+        rest = total_count - heavy_n
+        others = [r for r in range(ctx.nprocs) if r != heavy_rank] or [heavy_rank]
+        counts = {r: 0 for r in range(ctx.nprocs)}
+        counts[heavy_rank] = heavy_n
+        for i in range(rest):
+            counts[others[i % len(others)]] += 1
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
+        shared_offset = 0
+        for r in range(ctx.nprocs):
+            local_offset = 0
+            for _ in range(counts[r]):
+                offset = shared_offset if layout == "shared" else local_offset
+                yield IOOp(
+                    kind=OpKind.WRITE,
+                    api=api_enum,
+                    rank=r,
+                    path=paths[r],
+                    offset=offset,
+                    size=xfer,
+                )
+                shared_offset += xfer
+                local_offset += xfer
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+
+    return phase
+
+
+def false_sharing_phase(
+    path: str,
+    record_bytes: int,
+    count_per_rank: int,
+    *,
+    api: str = "mpiio",
+) -> PhaseFn:
+    """Rank-interleaved sub-block records on one shared file.
+
+    Record *i* of rank *r* lands at ``(i * nprocs + r) * record_bytes``, so
+    neighbouring ranks write into the *same* file-system block — the classic
+    false-sharing / extent-lock-contention pattern.  With ``record_bytes``
+    below the block size most offsets are unaligned and every request is
+    small.
+    """
+    if record_bytes <= 0:
+        raise ValueError("record_bytes must be positive")
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
+        for i in range(count_per_rank):
+            for r in range(ctx.nprocs):
+                yield IOOp(
+                    kind=OpKind.WRITE,
+                    api=api_enum,
+                    rank=r,
+                    path=path,
+                    offset=(i * ctx.nprocs + r) * record_bytes,
+                    size=record_bytes,
+                )
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+
+    return phase
+
+
+def metadata_churn_phase(
+    directory: str,
+    files_per_rank: int,
+    *,
+    cycles: int = 2,
+    with_stat: bool = True,
+    api: str = "posix",
+) -> PhaseFn:
+    """A create/stat/unlink-style flood: every file is reopened ``cycles``
+    extra times after creation.
+
+    Models checkpoint-cleanup and staging scripts that churn the metadata
+    server with open/stat/close cycles carrying no data at all.
+    """
+    if cycles < 0:
+        raise ValueError("cycles must be non-negative")
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        for pass_no in range(1 + cycles):
+            for r in range(ctx.nprocs):
+                for i in range(files_per_rank):
+                    fpath = f"{directory}/rank{r:04d}/f{i:06d}"
+                    yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=fpath)
+                    if with_stat:
+                        yield IOOp(kind=OpKind.STAT, api=api_enum, rank=r, path=fpath)
+                    yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=fpath)
+
+    return phase
+
+
+def checkpoint_burst_phase(
+    path: str,
+    xfer: int,
+    writes_per_burst: int,
+    bursts: int,
+    *,
+    compute_seconds: float = 10.0,
+    api: str = "mpiio",
+    sync_each_burst: bool = True,
+) -> PhaseFn:
+    """Bursty N-to-1 checkpointing: write bursts separated by compute.
+
+    Every burst, each rank appends ``writes_per_burst`` requests to its own
+    contiguous segment of the shared checkpoint file, optionally syncs, then
+    computes for ``compute_seconds`` before the next burst — the classic
+    defensive-I/O timeline (quiet, spike, quiet, spike).
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        seg = writes_per_burst * xfer
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
+        for b in range(bursts):
+            for i in range(writes_per_burst):
+                for r in range(ctx.nprocs):
+                    yield IOOp(
+                        kind=OpKind.WRITE,
+                        api=api_enum,
+                        rank=r,
+                        path=path,
+                        offset=(b * ctx.nprocs + r) * seg + i * xfer,
+                        size=xfer,
+                    )
+            for r in range(ctx.nprocs):
+                if sync_each_burst:
+                    yield IOOp(kind=OpKind.SYNC, api=api_enum, rank=r, path=path)
+                if compute_seconds > 0 and b < bursts - 1:
+                    yield IOOp(
+                        kind=OpKind.COMPUTE,
+                        api=api_enum,
+                        rank=r,
+                        duration=compute_seconds,
+                    )
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+
+    return phase
+
+
+def read_modify_write_phase(
+    path: str,
+    record_bytes: int,
+    count_per_rank: int,
+    *,
+    api: str = "posix",
+    layout: str = "fpp",
+) -> PhaseFn:
+    """Per record: read it, then write it back at the same offset.
+
+    The write can never be sequential (its offset sits *before* the read's
+    end), so read-modify-write shows up as heavy ``RW_SWITCHES`` plus a
+    non-sequential write stream — exactly how an update-in-place workload
+    looks in Darshan.
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        paths = _rank_paths(path, layout, ctx.nprocs)
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
+        for i in range(count_per_rank):
+            for r in range(ctx.nprocs):
+                offset = (
+                    (i * ctx.nprocs + r) * record_bytes
+                    if layout == "shared"
+                    else i * record_bytes
+                )
+                yield IOOp(
+                    kind=OpKind.READ,
+                    api=api_enum,
+                    rank=r,
+                    path=paths[r],
+                    offset=offset,
+                    size=record_bytes,
+                )
+                yield IOOp(
+                    kind=OpKind.WRITE,
+                    api=api_enum,
+                    rank=r,
+                    path=paths[r],
+                    offset=offset,
+                    size=record_bytes,
+                )
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+
+    return phase
+
+
+def fsync_per_write_phase(
+    path: str,
+    xfer: int,
+    count_per_rank: int,
+    *,
+    api: str = "posix",
+    layout: str = "fpp",
+) -> PhaseFn:
+    """Every write is followed by its own fsync.
+
+    Models paranoid durability (databases, naive logging): the sync flood
+    turns a bandwidth problem into a metadata/commit-latency problem, with
+    ``POSIX_FSYNCS`` tracking ``POSIX_WRITES`` one-for-one.
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        paths = _rank_paths(path, layout, ctx.nprocs)
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
+        for i in range(count_per_rank):
+            for r in range(ctx.nprocs):
+                offset = (i * ctx.nprocs + r) * xfer if layout == "shared" else i * xfer
+                yield IOOp(
+                    kind=OpKind.WRITE,
+                    api=api_enum,
+                    rank=r,
+                    path=paths[r],
+                    offset=offset,
+                    size=xfer,
+                )
+                yield IOOp(kind=OpKind.SYNC, api=api_enum, rank=r, path=paths[r])
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+
+    return phase
+
+
+def straggler_phase(
+    path: str,
+    xfer: int,
+    count_per_rank: int,
+    *,
+    straggler_rank: int = 0,
+    slow_factor: int = 64,
+    api: str = "mpiio",
+) -> PhaseFn:
+    """One rank moves the same volume as its peers, but in tiny pieces.
+
+    Every rank writes ``count_per_rank * xfer`` bytes into its segment of a
+    shared file; ``straggler_rank`` issues each request as ``slow_factor``
+    sub-requests of ``xfer / slow_factor`` bytes.  Byte volume stays
+    perfectly balanced while per-op latency makes the straggler's I/O time
+    dominate — the signature lives in ``*_F_SLOWEST_RANK_TIME``, not in the
+    byte counters.
+    """
+    if slow_factor < 1 or xfer % slow_factor != 0:
+        raise ValueError("slow_factor must divide xfer")
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
+        small = xfer // slow_factor
+        for i in range(count_per_rank):
+            for r in range(ctx.nprocs):
+                base = (r * count_per_rank + i) * xfer
+                if r == straggler_rank:
+                    for j in range(slow_factor):
+                        yield IOOp(
+                            kind=OpKind.WRITE,
+                            api=api_enum,
+                            rank=r,
+                            path=path,
+                            offset=base + j * small,
+                            size=small,
+                        )
+                else:
+                    yield IOOp(
+                        kind=OpKind.WRITE,
+                        api=api_enum,
+                        rank=r,
+                        path=path,
+                        offset=base,
+                        size=xfer,
+                    )
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+
+    return phase
+
+
+def compute_straggler_phase(
+    path: str,
+    xfer: int,
+    count_per_rank: int,
+    *,
+    straggler_rank: int = 0,
+    stall_seconds: float = 0.5,
+    api: str = "mpiio",
+) -> PhaseFn:
+    """A straggler whose imbalance is invisible even to time counters.
+
+    Every rank writes identical request counts and sizes into its segment
+    of a shared file, but ``straggler_rank`` interleaves a compute stall
+    before each of its requests (slow preprocessing, NUMA contention, a
+    noisy neighbour on its node).  Byte counters stay balanced *and* the
+    per-rank I/O-time counters stay balanced — compute never reaches
+    Darshan — so the straggler exists only in the DXT timeline, where the
+    slow rank's I/O window stretches far past its peers'.
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
+        for i in range(count_per_rank):
+            for r in range(ctx.nprocs):
+                if r == straggler_rank:
+                    yield IOOp(
+                        kind=OpKind.COMPUTE, api=api_enum, rank=r, duration=stall_seconds
+                    )
+                yield IOOp(
+                    kind=OpKind.WRITE,
+                    api=api_enum,
+                    rank=r,
+                    path=path,
+                    offset=(r * count_per_rank + i) * xfer,
+                    size=xfer,
+                )
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+
+    return phase
+
+
+def lock_convoy_phase(
+    path: str,
+    xfer: int,
+    rounds: int,
+    *,
+    api: str = "mpiio",
+) -> PhaseFn:
+    """Extent-lock convoy: shared-file writers proceed one rank at a time.
+
+    Each round the write "token" passes around all ranks — modelled with a
+    job-wide barrier before every write, the way an extent-lock handoff
+    serializes writers on real Lustre.  Per-rank bytes, op counts, and
+    even per-rank I/O times stay perfectly balanced; what collapses is
+    concurrency, visible only in the DXT timeline (mean operations in
+    flight ~= 1 despite every rank being active).
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        from repro.sim.ops import barrier
+
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
+        for i in range(rounds):
+            for r in range(ctx.nprocs):
+                yield barrier()  # the lock handoff: wait for the holder
+                yield IOOp(
+                    kind=OpKind.WRITE,
+                    api=api_enum,
+                    rank=r,
+                    path=path,
+                    offset=(r * rounds + i) * xfer,
+                    size=xfer,
+                )
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+
+    return phase
+
+
+def interference_stall_phase(
+    path: str,
+    xfer: int,
+    writes_per_window: int,
+    stalls: int,
+    *,
+    stall_seconds: float = 0.6,
+    api: str = "posix",
+) -> PhaseFn:
+    """Healthy sequential I/O repeatedly frozen by external interference.
+
+    Every rank streams large sequential writes to its own file — textbook
+    clean, and the counters say so — but ``stalls`` times during the run
+    the whole job pauses for ``stall_seconds`` (another job saturating the
+    shared OSTs, fabric congestion, a metadata server hiccup).  The
+    repeated mid-run gaps exist only in the DXT timeline.
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        paths = _rank_paths(path, "fpp", ctx.nprocs)
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=paths[r])
+        offset = [0] * ctx.nprocs
+        for window in range(stalls + 1):
+            for _ in range(writes_per_window):
+                for r in range(ctx.nprocs):
+                    yield IOOp(
+                        kind=OpKind.WRITE,
+                        api=api_enum,
+                        rank=r,
+                        path=paths[r],
+                        offset=offset[r],
+                        size=xfer,
+                    )
+                    offset[r] += xfer
+            if window < stalls:
+                for r in range(ctx.nprocs):
+                    yield IOOp(
+                        kind=OpKind.COMPUTE, api=api_enum, rank=r, duration=stall_seconds
+                    )
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=paths[r])
+
+    return phase
+
+
+def producer_consumer_phase(
+    path: str,
+    xfer: int,
+    rounds: int,
+    items_per_round: int,
+    *,
+    api: str = "mpiio",
+) -> PhaseFn:
+    """Strict producer/consumer hand-off over a shared staging file.
+
+    The first half of the ranks write a round's worth of data, a barrier
+    hands it off, the second half read it back, another barrier closes the
+    round.  Each group idles while the other works — half the job's wall
+    time is spent stalled — yet the counters only see a balanced mix of
+    reads and writes on one shared file.  The alternating stall pattern
+    lives purely in the DXT timeline.
+    """
+    api_enum = _API_MAP[api]
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        from repro.sim.ops import barrier
+
+        half = max(1, ctx.nprocs // 2)
+        producers = range(half)
+        consumers = range(half, ctx.nprocs)
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.OPEN, api=api_enum, rank=r, path=path)
+        for round_no in range(rounds):
+            for i in range(items_per_round):
+                for r in producers:
+                    yield IOOp(
+                        kind=OpKind.WRITE,
+                        api=api_enum,
+                        rank=r,
+                        path=path,
+                        offset=((round_no * half + r) * items_per_round + i) * xfer,
+                        size=xfer,
+                    )
+            yield barrier()  # consumers may not read before the data exists
+            for i in range(items_per_round):
+                for r in consumers:
+                    yield IOOp(
+                        kind=OpKind.READ,
+                        api=api_enum,
+                        rank=r,
+                        path=path,
+                        offset=((round_no * half + (r - half) % half) * items_per_round + i)
+                        * xfer,
+                        size=xfer,
+                    )
+            yield barrier()  # producers reuse the buffers next round
+        for r in range(ctx.nprocs):
+            yield IOOp(kind=OpKind.CLOSE, api=api_enum, rank=r, path=path)
+
+    return phase
+
+
+def stdio_phase(
+    path: str,
+    direction: str,
+    xfer: int,
+    count_per_rank: int,
+    *,
+    layout: str = "fpp",
+    ranks: Iterable[int] | None = None,
+) -> PhaseFn:
+    """Bulk I/O through the STDIO interface (Low-Level Library issue)."""
+    if direction not in ("read", "write"):
+        raise ValueError("direction must be 'read' or 'write'")
+    kind = OpKind.READ if direction == "read" else OpKind.WRITE
+
+    def phase(ctx: WorkloadContext) -> Iterator[IOOp]:
+        use_ranks = list(ranks) if ranks is not None else list(range(ctx.nprocs))
+        paths = _rank_paths(path, layout, ctx.nprocs)
+        for r in use_ranks:
+            yield IOOp(kind=OpKind.OPEN, api=API.STDIO, rank=r, path=paths[r])
+            for i in range(count_per_rank):
+                yield IOOp(
+                    kind=OpKind.READ if kind is OpKind.READ else OpKind.WRITE,
+                    api=API.STDIO,
+                    rank=r,
+                    path=paths[r],
+                    offset=i * xfer,
+                    size=xfer,
+                )
+            yield IOOp(kind=OpKind.SYNC, api=API.STDIO, rank=r, path=paths[r])
+            yield IOOp(kind=OpKind.CLOSE, api=API.STDIO, rank=r, path=paths[r])
+
+    return phase
+
+
+SCALAR_PHASES = {
+    factory.__name__: factory
+    for factory in (
+        data_phase,
+        metadata_phase,
+        repetitive_read_phase,
+        imbalanced_write_phase,
+        stdio_phase,
+        false_sharing_phase,
+        metadata_churn_phase,
+        checkpoint_burst_phase,
+        read_modify_write_phase,
+        fsync_per_write_phase,
+        straggler_phase,
+        compute_straggler_phase,
+        lock_convoy_phase,
+        interference_stall_phase,
+        producer_consumer_phase,
+    )
+}

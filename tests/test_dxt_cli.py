@@ -201,7 +201,7 @@ class TestCli:
         code = main(["evaluate", "--traces", "sb01-small-writes,nope-1,nope-2"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "unknown trace id(s): nope-1, nope-2" in err
+        assert "error: unknown trace ids: nope-1, nope-2" in err
         assert "sb01-small-writes" in err  # the available ids are listed
 
     def test_version_flag(self, capsys):

@@ -12,12 +12,15 @@ The hypothesis property runs random op streams through the bulk path
 :meth:`~repro.darshan.instrument.DarshanInstrument.finalize` and
 :func:`~repro.darshan.dxt.collect_segments`) and through the per-op
 oracle in ``sim_oracle.py``, and requires equal logs (floats compared
-exactly), segments and job results.
+exactly), segments and job results.  A second property cuts each stream
+into :class:`~repro.sim.ops.OpBlock` pieces and bare ops, which catches
+runtime state lost between one block and the next.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +34,7 @@ from repro.darshan.dxt import collect_segments, dxt_digest
 from repro.darshan.instrument import DarshanInstrument
 from repro.darshan.writer import render_darshan_text
 from repro.sim.filesystem import LustreFileSystem
-from repro.sim.ops import API, IOOp, OpKind
+from repro.sim.ops import API, IOOp, OpBlock, OpKind
 from repro.sim.runtime import IORuntime, JobSpec
 from repro.sim.timing import PerfModel
 from repro.util.units import MiB
@@ -229,4 +232,66 @@ class TestBulkEqualsOracle:
         assert result.ops_executed == expected.ops_executed
         assert result.ost_bytes == expected.ost_bytes
         assert dxt_digest(log.dxt_segments) == dxt_digest(expected_log.dxt_segments)
+        _assert_same_logs(log, expected_log)
+
+
+@st.composite
+def _cut_jobs(draw):
+    """A stream as ``_jobs`` draws it, cut into blocks and runs of bare ops.
+
+    Some transfers get a follower that continues their (path, rank) where
+    they left off, and any op may start a new piece, so a file's position,
+    like every other piece of runtime state, often has to carry from one
+    block to the next.
+    """
+    spec, fs_kwargs, perf, drawn, max_segments = draw(_jobs())
+    ops = []
+    for op in drawn:
+        ops.append(op)
+        if op.kind in (OpKind.READ, OpKind.WRITE) and draw(st.booleans()):
+            ops.append(replace(op, offset=op.end_offset))
+    starts = draw(st.lists(st.booleans(), min_size=len(ops), max_size=len(ops)))
+    cuts = [0, *(i for i in range(1, len(ops)) if starts[i]), len(ops)]
+    stream: list = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):
+            stream.append(OpBlock.from_ops(ops[lo:hi]))
+        else:
+            stream.extend(ops[lo:hi])
+    return spec, fs_kwargs, perf, ops, stream, max_segments
+
+
+class TestBlocksEqualOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_cut_jobs())
+    def test_blocks_cut_anywhere(self, job):
+        spec, fs_kwargs, perf, ops, stream, max_segments = job
+        fs = LustreFileSystem(**fs_kwargs)
+        result = IORuntime(spec, fs, perf).run(stream)
+        log = DarshanInstrument(spec, fs).finalize(None, result.ops)
+        segments, dropped = collect_segments(result.ops, max_segments)
+        oracle_fs = LustreFileSystem(**fs_kwargs)
+        expected_log, expected_dxt, expected = oracle_run(
+            spec, oracle_fs, ops, perf, max_segments=max_segments
+        )
+
+        assert result.runtime == expected.runtime
+        assert result.ops_executed == expected.ops_executed
+        assert result.bytes_read == expected.bytes_read
+        assert result.bytes_written == expected.bytes_written
+        assert list(result.ost_bytes.items()) == list(expected.ost_bytes.items())
+        assert result.rank_busy.dtype == expected.rank_busy.dtype
+        assert np.array_equal(result.rank_busy, expected.rank_busy)
+        table, seen = result.ops, expected.ops
+        assert table.paths == seen.paths
+        for column in ("kind", "api", "flags", "rank", "path", "offset", "size", "start", "end"):
+            assert np.array_equal(getattr(table, column), getattr(seen, column)), column
+        assert fs.known_files() == oracle_fs.known_files()
+        assert [fs.file_size(p) for p in _PATHS] == [oracle_fs.file_size(p) for p in _PATHS]
+
+        assert list(segments) == list(expected_dxt.segments)
+        assert dxt_digest(segments) == dxt_digest(expected_dxt.segments)
+        assert dropped == expected_dxt.dropped
+        log.dxt_segments = segments
+        expected_log.dxt_segments = expected_dxt.segments
         _assert_same_logs(log, expected_log)
