@@ -10,7 +10,7 @@ benchmark measures, at 10k / 100k / 1M segments:
 * **vectorized extraction** — ``dxt_temporal_facts`` over the
   :class:`~repro.darshan.segtable.SegmentTable` (the production path);
 * **scalar extraction** — the PR 3 per-object reference sweeps
-  (:mod:`repro.darshan.dxt_reference`) over the materialized
+  (``tests/dxt_reference.py``) over the materialized
   ``list[DxtSegment]`` (the old production path, now the baseline).
 
 It emits ``BENCH_dxt_scaling.json`` recording throughputs and the
@@ -32,14 +32,18 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.darshan.dxt import DxtCollector, dxt_temporal_facts
-from repro.darshan.dxt_reference import scalar_temporal_facts
-from repro.darshan.segtable import NO_OST, group_bounds
-from repro.sim.filesystem import LustreFileSystem
-from repro.sim.ops import API, IOOp, OpKind
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from dxt_reference import scalar_temporal_facts  # noqa: E402
+
+from repro.darshan.dxt import DxtCollector, dxt_temporal_facts  # noqa: E402
+from repro.darshan.segtable import NO_OST, group_bounds  # noqa: E402
+from repro.sim.filesystem import LustreFileSystem  # noqa: E402
+from repro.sim.ops import API, IOOp, OpKind  # noqa: E402
 
 TIERS = {
     "small": (10_000, 100_000),

@@ -61,7 +61,7 @@ Substrate:
 * :mod:`repro.llm` — the deterministic, capability-tiered SimLLM substrate.
 """
 
-__version__ = "11.0.0"  # major: built-in phases return an OpBlock, not a generator
+__version__ = "12.0.0"  # major: dxt_reference left the package; ranks below -1 rejected
 
 __all__ = [
     # tools

@@ -9,8 +9,7 @@ Four repo-specific rules, each scanning ``ctx.src_root``:
 * ``segtable-private`` — code outside ``repro/darshan/`` must not reach
   into ``_``-prefixed internals of the segment store or the counter table
   (column layout is an implementation detail of :class:`SegmentTable` and
-  :class:`CounterTable`), and must not import the scalar ``dxt_reference``
-  module (it is the spec oracle, not a fast path).
+  :class:`CounterTable`).
 * ``service-locked-mutation`` — ``DiagnosisService`` cache state may only
   be mutated under ``self._cache_lock`` (outside ``__init__``).
 * ``threads-in-serve`` — threads start only in ``repro/serve/``: a
@@ -46,7 +45,6 @@ _NP_RANDOM_ALLOWED = frozenset({"default_rng", "Generator", "BitGenerator", "See
 
 # Modules whose private names are off-limits outside repro/darshan/.
 _SEGMENT_MODULES = ("repro.darshan.segtable", "repro.darshan.dxt", "repro.darshan.countertable")
-_REFERENCE_MODULE = "repro.darshan.dxt_reference"
 
 
 def _iter_py_files(src_root: Path) -> Iterator[tuple[Path, str]]:
@@ -172,30 +170,8 @@ def check_segtable_private(ctx: CheckContext) -> list[Diagnostic]:
                 for alias in node.names:
                     if alias.name in _SEGMENT_MODULES:
                         module_aliases.add(alias.asname or alias.name.rsplit(".", 1)[-1])
-                    if alias.name == _REFERENCE_MODULE or (
-                        alias.name.startswith(_REFERENCE_MODULE + ".")
-                    ):
-                        out.append(
-                            error(
-                                "segtable-private",
-                                "dxt_reference is the scalar spec oracle; production "
-                                "code must use the vectorized SegmentTable kernels",
-                                file=rel,
-                                line=node.lineno,
-                            )
-                        )
             elif isinstance(node, ast.ImportFrom):
-                if node.module == _REFERENCE_MODULE:
-                    out.append(
-                        error(
-                            "segtable-private",
-                            "dxt_reference is the scalar spec oracle; production "
-                            "code must use the vectorized SegmentTable kernels",
-                            file=rel,
-                            line=node.lineno,
-                        )
-                    )
-                elif node.module in _SEGMENT_MODULES:
+                if node.module in _SEGMENT_MODULES:
                     for alias in node.names:
                         if alias.name.startswith("_"):
                             out.append(

@@ -313,8 +313,9 @@ class PreprocessStage:
     ``ctx.module_tables`` becomes a read-only
     :class:`~repro.core.preprocess.ModuleTables`, equal to
     :func:`~repro.core.preprocess.split_modules` of the log, whose tables
-    are built on first access.  No default stage reads them (the summary
-    extractors read the log's records), so a run builds none.
+    are built on first access.  No default stage reads them (the summaries
+    read the log's counter columns), so a run builds neither the tables
+    nor the record rows they come from.
     """
 
     name = "preprocess"
@@ -326,7 +327,11 @@ class PreprocessStage:
 
 
 class SummarizeStage:
-    """Extract categorized JSON summary fragments + application context."""
+    """Extract categorized JSON summary fragments + application context.
+
+    Both read the log's counter columns; each fragment's ``code`` is its
+    published extractor's source (see :mod:`repro.core.summaries`).
+    """
 
     name = "summarize"
     failure_mode = "abort"  # without fragments there is nothing to diagnose

@@ -4,9 +4,10 @@ Splits a Darshan log into one CSV table per module — "a set of CSV files,
 with each file containing the counters and values from a single Darshan
 module" — keeping every module's data intact regardless of total trace
 length.  The CSVs are an intermediate artifact, written to disk on
-request like the real tool's.  The summary extractors read the log's
-records directly, so in a pipeline run the tables are a
-:class:`ModuleTables` mapping that builds each one only when it is read.
+request like the real tool's.  The summaries read the log's counter
+columns, not these tables, so in a pipeline run the tables are a
+:class:`ModuleTables` mapping that builds each one (from the log's
+record rows) only when it is read.
 """
 
 from __future__ import annotations

@@ -17,6 +17,20 @@ LUSTRE       mount, stripe_setting, server_usage
 Everything here is computed *exactly* from counters — the paper's point is
 that metadata extraction should not rely on "the limited capabilities of
 LLMs for metadata retrieval".
+
+Each category comes in two forms, paired in :data:`CATEGORY_EXTRACTORS`:
+
+* the **published extractor** (``extract_<category>``) reads per-record
+  rows.  Its source text is the fragment's ``code``, which the describe
+  prompt shows next to the facts (Fig. 3), so it stays as written: it is
+  the specification a reader checks the facts against;
+* the **columnar twin** reads the module's counter columns
+  (:class:`~repro.darshan.countertable.ModuleCounters`) and computes the
+  same facts, floats bit for bit.  :func:`extract_fragments` runs the
+  twins, so a diagnosis builds no record rows.
+
+``tests/test_summary_twins.py`` holds every twin equal to its published
+extractor.
 """
 
 from __future__ import annotations
@@ -24,11 +38,12 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.darshan.counters import SIZE_BIN_SUFFIXES
+from repro.darshan.countertable import CounterColumns, ModuleCounters
 from repro.darshan.log import DarshanLog
 from repro.llm.facts import Fact
 from repro.util.stats import gini
@@ -36,6 +51,7 @@ from repro.util.stats import gini
 __all__ = [
     "SummaryFragment",
     "SUMMARY_COVERAGE",
+    "CATEGORY_EXTRACTORS",
     "extract_fragments",
     "extractor_source",
     "app_context_facts",
@@ -517,16 +533,452 @@ def extract_server_usage(log: DarshanLog, module: str) -> list[Fact]:
     ]
 
 
-_EXTRACTORS = {
-    "io_size": extract_io_size,
-    "request_count": extract_request_count,
-    "file_metadata": extract_file_metadata,
-    "rank": extract_rank,
-    "alignment": extract_alignment,
-    "order": extract_order,
-    "mount": extract_mount,
-    "stripe_setting": extract_stripe_setting,
-    "server_usage": extract_server_usage,
+# ---------------------------------------------------------------------------
+# Columnar twins: the published extractors' facts, read from counter columns
+# ---------------------------------------------------------------------------
+#
+# Each twin takes the module's ``ModuleCounters`` (a module with records) and
+# returns the facts its published extractor returns on the same log, floats
+# equal bit for bit: the same arithmetic on the same values in record order.
+# Columns hold the Python values rows would hold (``CounterColumns.column``),
+# sums stay Python ``sum``/``+=`` where the published code has them, and numpy
+# does only what it does exactly (``np.cumsum`` adds in sequence).
+
+
+@functools.cache
+def _size_bin_names(module: str) -> tuple[str, ...]:
+    """The module's read then write size-bin counters, as ``_size_hist`` names them."""
+    agg = "_AGG" if module == "MPIIO" else ""
+    return tuple(
+        f"{module}_SIZE_{direction}{agg}_{s}"
+        for direction in ("READ", "WRITE")
+        for s in SIZE_BIN_SUFFIXES
+    )
+
+
+def _size_hists_on_columns(ints: CounterColumns, module: str) -> dict[str, np.ndarray]:
+    """``_size_hist`` over every record of the module, per direction."""
+    names = _size_bin_names(module)
+    index = ints.index
+    if ints.values.dtype == np.int64 and all(name in index for name in names):
+        # Running float64 sums in record order, as ``hist[i] += count`` adds.
+        block = ints.values.take([index[name] for name in names], axis=1)
+        sums = np.cumsum(block, axis=0, dtype=np.float64)[-1]
+    else:  # add the counts one at a time, as the rows would
+        sums = np.zeros(len(names), dtype=np.float64)
+        for i, name in enumerate(names):
+            for count in ints.column(name):
+                sums[i] += count
+    half = len(SIZE_BIN_SUFFIXES)
+    return {"read": sums[:half], "write": sums[half:]}
+
+
+def _dir_ops_on_columns(ints: CounterColumns, module: str, direction: str) -> tuple:
+    """``_dir_ops`` of every record, in record order."""
+    if module == "MPIIO":
+        stem = "READS" if direction == "read" else "WRITES"
+        kinds = [ints.column(f"MPIIO_{kind}_{stem}") for kind in ("INDEP", "COLL", "NB")]
+        return tuple(map(sum, zip(*kinds)))
+    return ints.column(f"{module}_{'READS' if direction == 'read' else 'WRITES'}")
+
+
+def _io_size_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    module = columns.module
+    facts: list[Fact] = []
+    if module == "STDIO":
+        for direction, word in (("read", "read"), ("write", "written")):
+            stdio = sum(columns.ints.column(f"STDIO_BYTES_{word.upper()}"))
+            total = int(log.total(f"POSIX_BYTES_{word.upper()}")) + stdio
+            if total > 0:
+                facts.append(
+                    Fact(
+                        "stdio_share",
+                        {
+                            "direction": word,
+                            "share": stdio / total,
+                            "stdio_bytes": int(stdio),
+                            "total_bytes": int(total),
+                        },
+                    )
+                )
+        return facts
+    hists = _size_hists_on_columns(columns.ints, module)
+    for direction in ("read", "write"):
+        hist = hists[direction]
+        n = int(hist.sum())
+        if n == 0:
+            continue
+        facts.append(
+            Fact(
+                "size_hist",
+                {
+                    "module": module,
+                    "direction": direction,
+                    "p50_bytes": _hist_p50(hist),
+                    "n_requests": n,
+                    "small_fraction": float(hist[:_SMALL_BINS].sum() / n),
+                },
+            )
+        )
+    return facts
+
+
+def _request_count_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    module = columns.module
+    reads = sum(_dir_ops_on_columns(columns.ints, module, "read"))
+    writes = sum(_dir_ops_on_columns(columns.ints, module, "write"))
+    facts = [
+        Fact(
+            "counts",
+            {"module": module, "reads": int(reads), "writes": int(writes), "n_files": len(columns)},
+        ),
+        Fact(
+            "volume",
+            {
+                "module": module,
+                "bytes_read": int(log.total(f"{module}_BYTES_READ")),
+                "bytes_written": int(log.total(f"{module}_BYTES_WRITTEN")),
+            },
+        ),
+    ]
+    if module == "MPIIO":
+        facts.append(
+            Fact(
+                "mpi_ops",
+                {
+                    "indep_reads": int(log.total("MPIIO_INDEP_READS")),
+                    "indep_writes": int(log.total("MPIIO_INDEP_WRITES")),
+                    "coll_reads": int(log.total("MPIIO_COLL_READS")),
+                    "coll_writes": int(log.total("MPIIO_COLL_WRITES")),
+                },
+            )
+        )
+    return facts
+
+
+def _file_metadata_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    module, floats = columns.module, columns.floats
+    meta_time = sum(floats.column(f"{module}_F_META_TIME", 0.0))
+    data_time = sum(
+        read + write
+        for read, write in zip(
+            floats.column(f"{module}_F_READ_TIME", 0.0),
+            floats.column(f"{module}_F_WRITE_TIME", 0.0),
+        )
+    )
+    if module == "POSIX":
+        meta_ops = int(
+            log.total("POSIX_OPENS")
+            + log.total("POSIX_STATS")
+            + log.total("POSIX_SEEKS")
+            + log.total("POSIX_FSYNCS")
+        )
+    elif module == "MPIIO":
+        meta_ops = int(
+            log.total("MPIIO_INDEP_OPENS") + log.total("MPIIO_COLL_OPENS") + log.total("MPIIO_SYNCS")
+        )
+    else:
+        meta_ops = int(
+            log.total("STDIO_OPENS") + log.total("STDIO_SEEKS") + log.total("STDIO_FLUSHES")
+        )
+    total_time = meta_time + data_time
+    facts = [
+        Fact(
+            "meta",
+            {
+                "module": module,
+                "meta_time_s": float(meta_time),
+                "data_time_s": float(data_time),
+                "meta_ops": meta_ops,
+                "meta_fraction": float(meta_time / total_time) if total_time > 0 else 0.0,
+            },
+        )
+    ]
+    if module == "POSIX":
+        ints = columns.ints
+        shared = [
+            (path, read + written)
+            for path, rank, read, written in zip(
+                columns.path,
+                columns.rank.tolist(),
+                ints.column("POSIX_BYTES_READ"),
+                ints.column("POSIX_BYTES_WRITTEN"),
+            )
+            if rank == -1
+        ]
+        shared = [(p, b) for p, b in shared if b >= 16 * 1024 * 1024]
+        if shared:
+            shared.sort(key=lambda pb: -pb[1])
+            total = int(log.total("POSIX_BYTES_READ") + log.total("POSIX_BYTES_WRITTEN"))
+            facts.append(
+                Fact(
+                    "shared",
+                    {
+                        "n_shared_files": len(shared),
+                        "shared_bytes": int(sum(b for _, b in shared)),
+                        "total_bytes": total,
+                        "example_path": shared[0][0],
+                    },
+                )
+            )
+    return facts
+
+
+def _rank_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    module = columns.module
+    nprocs = log.header.nprocs
+    per_rank = np.zeros(max(nprocs, 1), dtype=np.float64)
+    norm_var = 0.0
+    for rank, read, written, var in zip(
+        columns.rank.tolist(),
+        columns.ints.column(f"{module}_BYTES_READ"),
+        columns.ints.column(f"{module}_BYTES_WRITTEN"),
+        columns.floats.column(f"{module}_F_VARIANCE_RANK_BYTES", 0.0),
+    ):
+        nbytes = read + written
+        if nbytes == 0:
+            continue
+        if rank == -1:
+            per_rank += nbytes / nprocs  # balanced-share approximation
+            mean = nbytes / nprocs
+            if mean > 0:
+                norm_var = max(norm_var, var / (mean * mean))
+        elif rank < nprocs:
+            per_rank[rank] += nbytes
+    if per_rank.sum() == 0:
+        return []
+    return [
+        Fact(
+            "rank_balance",
+            {
+                "module": module,
+                "gini": float(gini(per_rank)),
+                "norm_variance": float(norm_var),
+                "nprocs": nprocs,
+            },
+        )
+    ]
+
+
+_ALIGNMENT_COUNTERS = (
+    "POSIX_READS",
+    "POSIX_WRITES",
+    "POSIX_FILE_ALIGNMENT",
+    "POSIX_FILE_NOT_ALIGNED",
+    "POSIX_ACCESS1_ACCESS",
+    "POSIX_ACCESS1_COUNT",
+)
+
+
+def _alignment_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    module = columns.module
+    posix = log.counter_table.module("POSIX")
+    if posix is None:
+        return []
+    rows: Iterable[tuple] = zip(*(posix.ints.column(name) for name in _ALIGNMENT_COUNTERS))
+    if module == "MPIIO":
+        # The POSIX records of the MPI-IO files, in POSIX record order.
+        mpiio_paths = set(columns.path)
+        rows = [row for row, path in zip(rows, posix.path) if path in mpiio_paths]
+    unaligned = {"read": 0.0, "write": 0.0}
+    ops = {"read": 0, "write": 0}
+    common: dict[str, dict[int, int]] = {"read": {}, "write": {}}
+    alignment = 4096
+    for reads, writes, file_alignment, not_aligned, size, count in rows:
+        total = reads + writes
+        if total == 0:
+            continue
+        # An absent alignment reads 0, so ``or`` keeps the running one, as the
+        # published default does.
+        alignment = file_alignment or alignment
+        frac = not_aligned / total
+        unaligned["read"] += frac * reads
+        unaligned["write"] += frac * writes
+        ops["read"] += reads
+        ops["write"] += writes
+        direction = "read" if reads >= writes else "write"
+        if size:
+            common[direction][size] = common[direction].get(size, 0) + count
+    facts: list[Fact] = []
+    for direction in ("read", "write"):
+        if ops[direction] == 0:
+            continue
+        sizes = common[direction] or common["write" if direction == "read" else "read"]
+        common_size = max(sizes, key=sizes.get) if sizes else 0
+        facts.append(
+            Fact(
+                "alignment",
+                {
+                    "module": module,
+                    "direction": direction,
+                    "unaligned_fraction": float(unaligned[direction] / ops[direction]),
+                    "alignment": int(alignment),
+                    "common_size": int(common_size),
+                },
+            )
+        )
+    return facts
+
+
+def _order_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    module, ints = columns.module, columns.ints
+    nprocs = log.header.nprocs
+    ranks = columns.rank.tolist()
+    facts: list[Fact] = []
+    for direction, stem in (("read", "READ"), ("write", "WRITE")):
+        ops = 0
+        seq = 0.0
+        consec = 0.0
+        streams = 0
+        for rank, rec_ops, rec_seq, rec_consec in zip(
+            ranks,
+            ints.column(f"POSIX_{stem}S"),
+            ints.column(f"POSIX_SEQ_{stem}S"),
+            ints.column(f"POSIX_CONSEC_{stem}S"),
+        ):
+            if rec_ops == 0:
+                continue
+            ops += rec_ops
+            seq += rec_seq
+            consec += rec_consec
+            streams += min(nprocs if rank == -1 else 1, rec_ops)
+        effective = ops - streams
+        if effective < 20:
+            continue  # too few follow-on ops for an order judgment
+        facts.append(
+            Fact(
+                "order",
+                {
+                    "module": module,
+                    "direction": direction,
+                    "seq_fraction": min(1.0, seq / effective),
+                    "consec_fraction": min(1.0, consec / effective),
+                },
+            )
+        )
+    bytes_read = ints.column("POSIX_BYTES_READ")
+    max_byte = ints.column("POSIX_MAX_BYTE_READ")
+    best_ratio, best = 0.0, -1
+    for r, (nbytes, last) in enumerate(zip(bytes_read, max_byte)):
+        extent = last + 1
+        if nbytes >= 8 * 1024 * 1024 and extent > 1:
+            ratio = nbytes / extent
+            if ratio > best_ratio:
+                best_ratio, best = ratio, r
+    if best >= 0 and best_ratio >= 1.5:
+        facts.append(
+            Fact(
+                "repetition",
+                {
+                    "path": columns.path[best],
+                    "ratio": float(best_ratio),
+                    "bytes_read": int(bytes_read[best]),
+                    "extent": int(max_byte[best] + 1),
+                },
+            )
+        )
+    return facts
+
+
+def _mount_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    seen = dict.fromkeys(zip(columns.fs_type, columns.mount))
+    return [
+        Fact("mount", {"fs_type": fs_type, "mount": mount}) for fs_type, mount in seen
+    ]
+
+
+def _stripe_setting_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    # LUSTRE is the one module with this category, so ``columns`` are its records.
+    groups: dict[tuple[int, int, str], int] = {}
+    for key in zip(
+        columns.ints.column("LUSTRE_STRIPE_WIDTH"),
+        columns.ints.column("LUSTRE_STRIPE_SIZE"),
+        columns.mount,
+    ):
+        groups[key] = groups.get(key, 0) + 1
+    facts = []
+    for (width, size, mount), n_files in sorted(groups.items(), key=lambda kv: -kv[1])[:3]:
+        facts.append(
+            Fact(
+                "stripe",
+                {"n_files": n_files, "mount": mount, "stripe_width": width, "stripe_size": size},
+            )
+        )
+    return facts
+
+
+def _server_usage_on_columns(log: DarshanLog, columns: ModuleCounters) -> list[Fact]:
+    # LUSTRE is the one module with this category, so ``columns`` are its records.
+    table = log.counter_table
+    lustre_ints = columns.ints
+    # Path -> LUSTRE row; a path listed twice keeps its last row, as a dict does.
+    lustre = {path: r for r, path in enumerate(columns.path)}
+    osts_column = lustre_ints.column("LUSTRE_OSTS")
+    num_osts = max(osts_column[r] for r in lustre.values())
+    if num_osts <= 0:
+        return []
+    widths = lustre_ints.column("LUSTRE_STRIPE_WIDTH", 1)
+    ost_ids: dict[int, tuple] = {}  # LUSTRE_OST_ID_<i>, read when first needed
+    # Python floats add as float64 elements do, in the same order.
+    ost_bytes = [0.0] * num_osts
+    for mod in ("POSIX", "STDIO"):
+        mod_columns = table.module(mod)
+        if mod_columns is None:
+            continue
+        for path, read, written in zip(
+            mod_columns.path,
+            mod_columns.ints.column(f"{mod}_BYTES_READ"),
+            mod_columns.ints.column(f"{mod}_BYTES_WRITTEN"),
+        ):
+            r = lustre.get(path)
+            if r is None:
+                continue
+            nbytes = read + written
+            if nbytes == 0:
+                continue
+            osts = []
+            for i in range(widths[r]):
+                ids = ost_ids.get(i)
+                if ids is None:
+                    ids = ost_ids[i] = lustre_ints.column(f"LUSTRE_OST_ID_{i}")
+                osts.append(ids[r] % num_osts)
+            for ost in osts:
+                ost_bytes[ost] += nbytes / len(osts)
+    per_ost = np.array(ost_bytes, dtype=np.float64)
+    total = per_ost.sum()
+    if total == 0:
+        return []
+    shares = per_ost / total
+    eff = 1.0 / float(np.square(shares).sum())
+    return [
+        Fact(
+            "server_usage",
+            {
+                "eff_osts": eff,
+                "num_osts": int(num_osts),
+                "utilization": eff / num_osts,
+                "top_share": float(shares.max()),
+                "total_bytes": int(total),
+            },
+        )
+    ]
+
+
+Extractor = Callable[[DarshanLog, str], list[Fact]]
+Twin = Callable[[DarshanLog, ModuleCounters], list[Fact]]
+
+# Category -> (published extractor, columnar twin).  The published function's
+# source is the fragment's ``code``; the twin computes its facts.
+CATEGORY_EXTRACTORS: dict[str, tuple[Extractor, Twin]] = {
+    "io_size": (extract_io_size, _io_size_on_columns),
+    "request_count": (extract_request_count, _request_count_on_columns),
+    "file_metadata": (extract_file_metadata, _file_metadata_on_columns),
+    "rank": (extract_rank, _rank_on_columns),
+    "alignment": (extract_alignment, _alignment_on_columns),
+    "order": (extract_order, _order_on_columns),
+    "mount": (extract_mount, _mount_on_columns),
+    "stripe_setting": (extract_stripe_setting, _stripe_setting_on_columns),
+    "server_usage": (extract_server_usage, _server_usage_on_columns),
 }
 
 
@@ -535,7 +987,7 @@ def app_context_facts(log: DarshanLog) -> list[Fact]:
     posix_bytes = int(log.total("POSIX_BYTES_READ") + log.total("POSIX_BYTES_WRITTEN"))
     stdio_bytes = int(log.total("STDIO_BYTES_READ") + log.total("STDIO_BYTES_WRITTEN"))
     mpiio_bytes = int(log.total("MPIIO_BYTES_READ") + log.total("MPIIO_BYTES_WRITTEN"))
-    mpiio_used = bool(log.records_for("MPIIO"))
+    mpiio_used = log.counter_table.module("MPIIO") is not None
     return [
         Fact(
             "app_context",
@@ -564,14 +1016,20 @@ def extractor_source(fn: Callable[..., object]) -> str:
 
 
 def extract_fragments(log: DarshanLog) -> list[SummaryFragment]:
-    """Run every applicable extraction function (Table I coverage)."""
+    """Every applicable summary fragment (Table I coverage), from counter columns.
+
+    Each category's twin computes the facts and the fragment's ``code`` is
+    its published extractor's source; no record rows are built.
+    """
+    table = log.counter_table
     fragments: list[SummaryFragment] = []
     for module, categories in SUMMARY_COVERAGE.items():
-        if not log.records_for(module):
+        columns = table.module(module)
+        if columns is None:
             continue
         for category in categories:
-            fn = _EXTRACTORS[category]
-            facts = fn(log, module)
+            published, twin = CATEGORY_EXTRACTORS[category]
+            facts = twin(log, columns)
             if not facts:
                 continue
             fragments.append(
@@ -579,7 +1037,7 @@ def extract_fragments(log: DarshanLog) -> list[SummaryFragment]:
                     module=module,
                     category=category,
                     facts=tuple(facts),
-                    code=extractor_source(fn),
+                    code=extractor_source(published),
                 )
             )
     return fragments

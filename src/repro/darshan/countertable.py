@@ -43,7 +43,7 @@ class CounterColumns:
     values that do not fit ``int64`` switch ``values`` to ``object``.
     """
 
-    __slots__ = ("names", "values", "present", "order", "index", "dense")
+    __slots__ = ("names", "values", "present", "order", "index", "dense", "_columns")
 
     def __init__(
         self,
@@ -59,6 +59,7 @@ class CounterColumns:
         self.index = {name: j for j, name in enumerate(names)}
         # Every record has every counter, in column order (the usual case).
         self.dense = order is None and bool(present.all())
+        self._columns: dict[tuple, tuple] | None = None  # column(), made on first use
 
     def row_dicts(self) -> list[dict]:
         """Every record's ``{name: value}`` in the record's own order."""
@@ -88,6 +89,33 @@ class CounterColumns:
             if self.order is not None:
                 cols = cols[np.argsort(self.order[r, cols], kind="stable")]
             yield [(names[j], row[j]) for j in cols.tolist()]
+
+    def column(self, name: str, default: int | float = 0) -> tuple:
+        """Every record's value of ``name``, in record order.
+
+        A record without the counter reads ``default``, as
+        ``record.counters.get(name, default)`` does; values are the Python
+        objects the rows would hold.  The columns are immutable, so each
+        tuple is built once and kept.
+        """
+        columns = self._columns
+        if columns is None:
+            columns = self._columns = {}
+        key = (name, type(default), default)
+        values = columns.get(key)
+        if values is None:
+            j = self.index.get(name)
+            if j is None:
+                values = (default,) * len(self.values)
+            else:
+                found = self.values[:, j].tolist()
+                if not self.dense:
+                    absent = ~self.present[:, j]
+                    for r in absent.nonzero()[0].tolist():
+                        found[r] = default
+                values = tuple(found)
+            columns[key] = values
+        return values
 
     def contributions(self, name: str) -> tuple[np.ndarray | slice, list] | None:
         """``(rows, values)`` of the records that define ``name``."""

@@ -15,8 +15,8 @@ vectorized array sweep — per-rank reductions via ``np.bincount`` on rank
 codes, concurrency via a sorted event-delta prefix sum, idle analysis via
 sorted interval arrays and ``np.maximum.accumulate``, file skew via
 grouped reductions on path codes.  The scalar per-object reference
-implementations these were validated against live in
-:mod:`repro.darshan.dxt_reference`.
+implementations these were validated against live in the test suite
+(``tests/dxt_reference.py``).
 """
 
 from __future__ import annotations

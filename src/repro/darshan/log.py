@@ -59,7 +59,10 @@ class DarshanLog:
     the parser hands its table over directly (``counter_table=``).
     :attr:`records` and :meth:`records_for` give read-only rows, built
     from the table once, on first use; :meth:`total` and
-    :meth:`module_bytes` sum table columns without building any.
+    :meth:`module_bytes` sum table columns without building any.  A
+    diagnosis builds no rows (the summaries read columns): rows are for
+    the Drishti triggers, the pre-processor's CSV tables, the test
+    oracles and the examples.
 
     ``dxt_segments`` is the optional temporal evidence channel: per-operation
     DXT segments captured alongside the counters when the trace came from

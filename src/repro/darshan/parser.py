@@ -104,6 +104,9 @@ _T = TypeVar("_T")
 _HEADER_RE = re.compile(r"^# ([a-z_ ]+): (.*)$")
 _MOUNT_RE = re.compile(r"^# mount entry:\t(\S+)\t(\S+)$")
 _DXT_MARKER = "# DXT trace"
+# A rank is a process number, or -1 for a shared record; a line with a
+# lower one is rejected like one whose rank does not parse.
+_RANK_BELOW_SHARED = "rank {} is below -1, the shared-record rank"
 # Line boundaries of str.splitlines(); the scanner itself splits on "\n".
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _ASCII_BREAK_BYTES = frozenset(ord(c) for c in _LINE_BREAKS if c < "\x80") - {10}
@@ -404,6 +407,8 @@ class _CounterScan:
             rank_s = data[t0 + 1 : t1].decode("utf-8", "surrogatepass")
             try:
                 rank = int(rank_s)
+                if rank < -1:
+                    raise ValueError(_RANK_BELOW_SHARED.format(rank))
             except ValueError as exc:
                 rank_errors[j] = str(exc)
                 live = False

@@ -13,7 +13,13 @@ import re
 from typing import Callable, TypeVar
 
 from repro.darshan.log import DarshanLog, JobHeader
-from repro.darshan.parser import DarshanParseError, ParseReport, SkippedLine, _renders
+from repro.darshan.parser import (
+    _RANK_BELOW_SHARED,
+    DarshanParseError,
+    ParseReport,
+    SkippedLine,
+    _renders,
+)
 from repro.darshan.records import DarshanRecord
 from repro.darshan.segtable import SegmentTable, SegmentTableBuilder
 
@@ -40,6 +46,8 @@ def _parse_record_line(
     else:
         value = int(value_s)
     rank = int(rank_s)
+    if rank < -1:
+        raise ValueError(_RANK_BELOW_SHARED.format(rank))
     key = (module, path)
     rec = records.get(key)
     if rec is None:

@@ -384,7 +384,6 @@ class TestLintRules:
                 "core/bad.py": """\
                 from repro.darshan.segtable import _normalize_rows
                 import repro.darshan.segtable as segtable
-                from repro.darshan.dxt_reference import extract_reference
                 from repro.darshan.countertable import _Row
 
                 rows = segtable._columns
@@ -400,7 +399,6 @@ class TestLintRules:
         diags = run_checks(ctx, ["segtable-private"])["segtable-private"]
         msgs = [d.message for d in diags]
         assert any("_normalize_rows" in m for m in msgs)
-        assert any("dxt_reference" in m for m in msgs)
         assert any("segtable._columns" in m for m in msgs)
         assert any("'_Row' is a private name of repro.darshan.countertable" in m for m in msgs)
         assert not any(d.file and "darshan/" in d.file for d in diags)

@@ -511,6 +511,42 @@ class TestBulkParserMatchesOracle:
         _assert_matches_oracle(text)
 
 
+class TestRankBelowShared:
+    """A rank below -1, the shared-record rank, is rejected like one that does not parse.
+
+    Accepted, rank -7 crashed the rank summary with an IndexError and
+    rank -2 booked rank 0's bytes to rank 2.
+    """
+
+    @staticmethod
+    def _text(sb01_trace, rank: int) -> tuple[str, list[int]]:
+        """sb01 with its rank-0 POSIX lines moved to ``rank``, and their line numbers."""
+        lines = render_darshan_text(sb01_trace.log).split("\n")
+        moved = [i for i, line in enumerate(lines) if line.startswith("POSIX\t0\t")]
+        assert moved
+        for i in moved:
+            lines[i] = lines[i].replace("POSIX\t0\t", f"POSIX\t{rank}\t", 1)
+        return "\n".join(lines), [i + 1 for i in moved]
+
+    @pytest.mark.parametrize("rank", [-2, -7])
+    def test_strict_names_the_line(self, sb01_trace, rank):
+        text, linenos = self._text(sb01_trace, rank)
+        message = f"rank {rank} is below -1, the shared-record rank"
+        with pytest.raises(DarshanParseError, match=f"^line {linenos[0]}: {message}$"):
+            parse_darshan_text(text)
+        _assert_matches_oracle(text)
+
+    @pytest.mark.parametrize("rank", [-2, -7])
+    def test_lenient_skips_and_counts_the_lines(self, sb01_trace, rank):
+        text, linenos = self._text(sb01_trace, rank)
+        log, report = parse_darshan_text_with_report(text, lenient=True)
+        assert [s.lineno for s in report.skipped] == linenos
+        assert {s.reason for s in report.skipped} == {
+            f"rank {rank} is below -1, the shared-record rank"
+        }
+        assert min(r.rank for r in log.records) >= -1
+
+
 class TestLenientDamageSweep:
     """Every trace fault of corrupt_trace_text, parsed as the oracle parses it."""
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from dxt_reference import scalar_temporal_facts
 
 from repro.baselines.drishti.triggers import run_triggers
 from repro.core.summaries import app_context_facts, extract_fragments
@@ -22,7 +23,6 @@ from repro.darshan.dxt import (
     parse_dxt_text,
     render_dxt_text,
 )
-from repro.darshan.dxt_reference import scalar_temporal_facts
 from repro.darshan.parser import parse_darshan_text
 from repro.darshan.segtable import (
     NO_OST,

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import pytest
+from dxt_reference import scalar_app_level_segments, scalar_temporal_facts
 
 from repro.darshan.dxt import (
     DxtCollector,
@@ -25,10 +26,6 @@ from repro.darshan.dxt import (
     dxt_timeline_facts,
     parse_dxt_text,
     render_dxt_text,
-)
-from repro.darshan.dxt_reference import (
-    scalar_app_level_segments,
-    scalar_temporal_facts,
 )
 from repro.darshan.parser import parse_darshan_text
 from repro.darshan.segtable import (
