@@ -142,6 +142,9 @@ class CheckContext:
     tool_names: tuple[str, ...]
     reserved_cli_commands: frozenset[str]
 
+    # The literal phrase every match of a kind's regex contains (None: none).
+    fact_phrases: Mapping[str, str | None] = field(default_factory=dict)
+
     # -- resilience surface (fault registry + stage failure contracts) -----
     fault_kinds: tuple[str, ...] = ()
     fault_plans: tuple[FaultPlanInfo, ...] = ()
@@ -231,6 +234,7 @@ class CheckContext:
             fact_examples=dict(llm_facts.FACT_EXAMPLES),
             render=llm_facts.render_fact,
             extract=llm_facts.extract_facts,
+            fact_phrases=dict(llm_facts.FACT_PHRASES),
             context_only_kinds=frozenset(llm_facts.CONTEXT_ONLY_KINDS),
             produced_kinds=produced_fact_kinds(producer_files),
             consumed_kinds=consumed_fact_kinds(consumer_files),

@@ -4,7 +4,8 @@ Each check verifies, without running a single simulation, that the
 registries agree with each other:
 
 * ``fact-grammar-roundtrip`` — every fact kind renders to NL and extracts
-  back to the same data (the describe→diagnose contract), unambiguously;
+  back to the same data (the describe→diagnose contract), unambiguously,
+  and its rendering holds the phrase its regex is anchored on;
 * ``fact-kind-flow`` — every kind is produced by an extractor and either
   consumed by an expert rule or declared context-only (exact partition);
 * ``suppression-dag`` — the deepest-cause suppression relation is a DAG
@@ -47,7 +48,10 @@ def _values_match(expected: object, got: object) -> bool:
 
 @register_check(
     "fact-grammar-roundtrip",
-    description="every fact kind has an example that survives render -> extract unchanged",
+    description=(
+        "every fact kind has an example that survives render -> extract unchanged "
+        "and holds its regex's phrase"
+    ),
     tags=("facts",),
 )
 def check_fact_grammar_roundtrip(ctx: CheckContext) -> list[Diagnostic]:
@@ -69,6 +73,16 @@ def check_fact_grammar_roundtrip(ctx: CheckContext) -> list[Diagnostic]:
                 )
             )
             continue
+        phrase = ctx.fact_phrases.get(kind)
+        if phrase is not None and phrase not in text:
+            out.append(
+                error(
+                    "fact-grammar-roundtrip",
+                    f"fact kind {kind!r}: rendering {text!r} lacks the phrase {phrase!r} "
+                    f"that extraction looks for before running the regex",
+                    file=file,
+                )
+            )
         recovered = ctx.extract(text)
         same_kind = [f for f in recovered if f.kind == kind]
         others = sorted({f.kind for f in recovered} - {kind})

@@ -347,9 +347,11 @@ class TemporalStage:
     """Fold DXT temporal evidence into the fragment stream.
 
     When the log carries DXT segments (simulated runs always do; parsed
-    ``darshan-parser`` text never does), the timeline analysis —
-    burst/phase structure, per-rank time skew, concurrency, idle gaps,
-    per-file throughput skew — becomes one more summary fragment
+    ``darshan-parser`` text does when it has a DXT section, as
+    ``tracebench export --dxt`` and ``render_darshan_text(...,
+    include_dxt=True)`` write it), the timeline analysis — burst/phase
+    structure, per-rank time skew, concurrency, idle gaps, per-file
+    throughput skew — becomes one more summary fragment
     (``DXT.timeline``) that the describe/diagnose stages treat exactly
     like a counter-derived one.  Without segments the stage is a no-op,
     so counter-only traces flow through unchanged.

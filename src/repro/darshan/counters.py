@@ -28,6 +28,7 @@ __all__ = [
     "LUSTRE_COUNTERS",
     "MODULE_COUNTERS",
     "MODULE_F_COUNTERS",
+    "NONNEGATIVE_COUNTERS",
     "N_STRIDE_SLOTS",
     "N_ACCESS_SLOTS",
 ]
@@ -263,3 +264,24 @@ MODULE_F_COUNTERS: dict[str, tuple[str, ...]] = {
     "STDIO": STDIO_F_COUNTERS,
     "LUSTRE": (),
 }
+
+# Byte counts, operation counts (opens, reads, writes, seeks, stats, syncs,
+# flushes, and their sequential/consecutive/independent/collective splits)
+# and size-histogram bins: Darshan never records a negative value for
+# these, so the parser rejects one.
+_OP_COUNT_SUFFIXES = (
+    "_OPENS",
+    "_READS",
+    "_WRITES",
+    "_SEEKS",
+    "_STATS",
+    "_FSYNCS",
+    "_SYNCS",
+    "_FLUSHES",
+)
+NONNEGATIVE_COUNTERS: frozenset[str] = frozenset(
+    name
+    for module in ("POSIX", "MPIIO", "STDIO")
+    for name in MODULE_COUNTERS[module]
+    if name.endswith(("_BYTES_READ", "_BYTES_WRITTEN") + _OP_COUNT_SUFFIXES) or "_SIZE_" in name
+)

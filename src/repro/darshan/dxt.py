@@ -239,9 +239,9 @@ def parse_dxt_text(
     skipped, matching the counter-text parser's tolerance.
 
     ``lenient=True`` skips malformed segment lines (truncated, garbled,
-    unparseable numbers) instead of raising; each drop is appended to
-    ``skipped`` (when given) as ``(lineno, line, reason)`` so callers can
-    fold them into a :class:`~repro.darshan.parser.ParseReport`.
+    unparseable numbers, a rank below 0) instead of raising; each drop is
+    appended to ``skipped`` (when given) as ``(lineno, line, reason)`` so
+    callers can fold them into a :class:`~repro.darshan.parser.ParseReport`.
     """
     return parse_dxt_lines(text.splitlines(), lenient=lenient, skipped=skipped)
 
@@ -273,6 +273,18 @@ def _converted(tokens: Sequence[str], convert, errors: dict[int, str], few: bool
 
 def _ost(token: str) -> int:
     return NO_OST if token == "-" else int(token)
+
+
+# A segment is one process's operation: unlike a counter record, it has
+# no shared rank (-1), so any rank below 0 is rejected.
+_NEGATIVE_SEGMENT_RANK = "rank {} is below 0; a DXT segment belongs to one process"
+
+
+def _segment_rank(token: str) -> int:
+    rank = int(token)
+    if rank < 0:
+        raise ValueError(_NEGATIVE_SEGMENT_RANK.format(rank))
+    return rank
 
 
 def _split_segment(line: str) -> list[str]:
@@ -327,7 +339,7 @@ def parse_dxt_lines(
     columns = [
         _converted(tokens, convert, errors, few)
         for tokens, convert, few in (
-            (rank, int, True),
+            (rank, _segment_rank, True),
             (offset, int, False),
             (length, int, False),
             (start, float, False),

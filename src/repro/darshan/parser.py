@@ -48,6 +48,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
+from repro.darshan.counters import NONNEGATIVE_COUNTERS
 from repro.darshan.countertable import (
     CounterTable,
     ModuleCounters,
@@ -107,6 +108,11 @@ _DXT_MARKER = "# DXT trace"
 # A rank is a process number, or -1 for a shared record; a line with a
 # lower one is rejected like one whose rank does not parse.
 _RANK_BELOW_SHARED = "rank {} is below -1, the shared-record rank"
+# A record's rank must also be below the job's process count, or every
+# line of the record is rejected.
+_RANK_PAST_NPROCS = "rank {} is not below the job's nprocs ({})"
+# Byte, operation and size-bin counts (NONNEGATIVE_COUNTERS) are never negative.
+_NEGATIVE_COUNT = "{} is {}, but a byte, operation or size-bin count is never negative"
 # Line boundaries of str.splitlines(); the scanner itself splits on "\n".
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _ASCII_BREAK_BYTES = frozenset(ord(c) for c in _LINE_BREAKS if c < "\x80") - {10}
@@ -382,6 +388,9 @@ class _CounterScan:
     ) -> None:
         """Fold the well-formed lines ``idx`` (block line numbers) into modules."""
         kind, values, value_error, spelled_canonically = self._values(t[:, 3] + 1, t[:, 4])
+        negative = (values[0] < 0).nonzero()[0]
+        if negative.size:
+            value_error = self._negative_counts(negative, kind, values[0], t, value_error)
         value_ok = np.array([e is None for e in value_error]) if value_error else None
         run_start, run_stop = self._runs(idx, starts, ends, t)
         has_ok = (
@@ -490,6 +499,63 @@ class _CounterScan:
             self.module_list[g // 2].parts[g % 2].append(
                 (rows[sel], cols[sel], values[g % 2][keep[sel]], pos[sel])
             )
+
+    def _negative_counts(
+        self, negative: np.ndarray, kind: np.ndarray, ints: np.ndarray, t: np.ndarray, errors: list
+    ) -> list:
+        """``errors`` with each negative byte, operation or size-bin count as its line's error.
+
+        ``negative`` holds the lines whose integer column is below 0; only
+        their counter names are read.
+        """
+        found = list(errors) if errors else [None] * kind.size
+        for j in negative.tolist():
+            if kind[j] or found[j] is not None:
+                continue  # a float, or a value that did not convert
+            name = self._decode(int(t[j, 2]) + 1, int(t[j, 3]))
+            if name in NONNEGATIVE_COUNTERS:
+                found[j] = _NEGATIVE_COUNT.format(name, ints[j])
+        return found if any(e is not None for e in found) else errors
+
+    def reject_ranks_past(self, nprocs: int) -> None:
+        """Reject every record whose rank is not below the job's ``nprocs``.
+
+        The header's ``nprocs`` is known once the section is read, so this
+        runs after :meth:`scan`; a module whose highest rank is below it,
+        as in any well-formed text, costs one ``max``.  Strict parsing
+        raises at the first line of such a record; lenient parsing drops
+        the records and skips and counts their lines.
+        """
+        dropped: list[tuple[int, int]] = []  # (line, rank)
+        for mod in self.module_list:
+            if not mod.rank or max(mod.rank) < nprocs:
+                continue
+            bad = [rank >= nprocs for rank in mod.rank]
+            past = np.array(bad)
+            new_row = np.cumsum(~past) - 1
+            for parts in mod.parts:
+                for i, (rows, cols, values, pos) in enumerate(parts):
+                    hit = past[rows]
+                    lines = zip(pos[hit].tolist(), rows[hit].tolist())
+                    dropped.extend((line, mod.rank[row]) for line, row in lines)
+                    keep = ~hit
+                    parts[i] = (new_row[rows[keep]], cols[keep], values[keep], pos[keep])
+            for column in ("seq", "rank", "path", "mount", "fs_type"):
+                kept = [v for v, b in zip(getattr(mod, column), bad) if not b]
+                setattr(mod, column, kept)
+        if not dropped:
+            return
+        dropped.sort()
+        if not self.lenient:
+            line, rank = dropped[0]
+            raise DarshanParseError(f"line {line + 1}: {_RANK_PAST_NPROCS.format(rank, nprocs)}")
+        self.canonical = False
+        self.record_lines -= len(dropped)
+        text_lines = self.text.split("\n")
+        for line, rank in dropped:
+            reason = _RANK_PAST_NPROCS.format(rank, nprocs)
+            self.skipped.append(SkippedLine(lineno=line + 1, text=text_lines[line], reason=reason))
+        self.skipped.sort(key=lambda skip: skip.lineno)
 
     def _check_order(
         self, mods: np.ndarray, rows: np.ndarray, kinds: np.ndarray, cols: np.ndarray
@@ -820,6 +886,7 @@ def parse_darshan_text_with_report(
         log_version=header_fields.get("darshan log version", "3.41"),
         mounts=scan.mounts,
     )
+    scan.reject_ranks_past(header.nprocs)
 
     dxt_segments = None
     dxt_lines = 0

@@ -14,6 +14,7 @@ available to the diagnostic reasoning.
 
 from __future__ import annotations
 
+import importlib
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,6 +26,7 @@ __all__ = [
     "example_fact",
     "FACT_KINDS",
     "FACT_EXAMPLES",
+    "FACT_PHRASES",
     "CONTEXT_ONLY_KINDS",
 ]
 
@@ -58,6 +60,32 @@ RenderFn = Callable[[dict], str]
 ParseFn = Callable[["re.Match[str]"], dict]
 
 _SPEC: dict[str, tuple[RenderFn, "re.Pattern[str]", ParseFn, dict]] = {}
+
+# The stdlib's regex parser: ``re._parser`` since Python 3.11, ``sre_parse`` before.
+try:
+    _regex_parser = importlib.import_module("re._parser")
+except ImportError:  # pragma: no cover - Python 3.10
+    _regex_parser = importlib.import_module("sre_parse")
+
+
+def _required_phrase(pattern: "re.Pattern[str]") -> str | None:
+    """The longest literal text that every match of ``pattern`` contains.
+
+    The parsed pattern's top level is a sequence every match passes
+    through in order, so a run of consecutive literal items there is text
+    each match holds verbatim.  Literals inside groups, alternatives or
+    repeats are not required and end a run.  A pattern that ignores case,
+    or has no top-level literal, has no phrase.
+    """
+    if pattern.flags & re.IGNORECASE:
+        return None
+    runs = [""]
+    for op, arg in _regex_parser.parse(pattern.pattern, pattern.flags):
+        if op is _regex_parser.LITERAL:
+            runs[-1] += chr(arg)
+        elif runs[-1]:
+            runs.append("")
+    return max(runs, key=len) or None
 
 
 def _register(kind: str, render: RenderFn, pattern: str, parse: ParseFn, *, example: dict) -> None:
@@ -601,6 +629,12 @@ FACT_KINDS: tuple[str, ...] = tuple(_SPEC)
 
 FACT_EXAMPLES: dict[str, dict] = {kind: spec[3] for kind, spec in _SPEC.items()}
 
+# Per kind, the literal phrase every match of its regex contains (None: no
+# such phrase, and the regex always runs).
+FACT_PHRASES: dict[str, str | None] = {
+    kind: _required_phrase(spec[1]) for kind, spec in _SPEC.items()
+}
+
 # Kinds that set the scene for the LLM (and for the judge's relevance
 # scoring) but deliberately ground no expert rule: they carry context, not
 # evidence.  The static analyzer enforces that this set plus the kinds
@@ -633,10 +667,15 @@ def extract_facts(text: str) -> list[Fact]:
     """Recover every recognizable fact from ``text``.
 
     Order of appearance in the text is preserved so recall sampling is
-    deterministic given the text.
+    deterministic given the text.  A kind's regex runs only when the text
+    holds its phrase (:data:`FACT_PHRASES`), which every match contains,
+    so skipping it drops no hit; a prompt holds a few of the kinds.
     """
     hits: list[tuple[int, Fact]] = []
     for kind, (_, pattern, parse, _) in _SPEC.items():
+        phrase = FACT_PHRASES[kind]
+        if phrase is not None and phrase not in text:
+            continue
         for m in pattern.finditer(text):
             hits.append((m.start(), Fact(kind=kind, data=parse(m))))
     hits.sort(key=lambda pair: pair[0])

@@ -13,6 +13,7 @@ nothing.
 from __future__ import annotations
 
 import re
+import threading
 
 import numpy as np
 
@@ -62,6 +63,27 @@ def sample_facts(
     return [f for f in facts if rng.random() < recall]
 
 
+# The (model, salt) whose recall draws this thread made last, with the draws.
+_last_draws = threading.local()
+
+
+def _recall_draws(model_name: str, salt: str) -> dict[tuple[str, str], float]:
+    """The memo of draws for (model, salt), one entry per thread.
+
+    A trace's fragments are diagnosed back to back on the run's thread
+    under one salt, so each (kind, direction) is drawn once per trace and
+    the next trace replaces the entry.  A draw is a pure function of its
+    key, so the memo cannot change an answer; it is per thread because
+    server workers diagnose different traces at the same time, and it
+    holds one entry, so a repeat of the same content later is not served
+    warm.
+    """
+    entry = getattr(_last_draws, "entry", None)
+    if entry is None or entry[0] != (model_name, salt):
+        entry = _last_draws.entry = ((model_name, salt), {})
+    return entry[1]
+
+
 def sample_facts_correlated(
     facts: list[Fact], recall: float, model_name: str, salt: str
 ) -> list[Fact]:
@@ -72,16 +94,19 @@ def sample_facts_correlated(
     fact kind, direction), so the same evidence kind is missed in every
     fragment of a trace rather than independently per fragment — without
     this, the redundancy of facts across module fragments would let even
-    weak models reach near-perfect issue recall.
+    weak models reach near-perfect issue recall.  Each key is drawn once
+    per trace (see :func:`_recall_draws`).
     """
     if recall >= 1.0:
         return list(facts)
+    draws = _recall_draws(model_name, salt)
     kept = []
     for f in facts:
-        key_rng = rng_for(
-            0, "fact-recall", model_name, salt, f.kind, str(f.get("direction", ""))
-        )
-        if key_rng.random() < recall:
+        key = (f.kind, str(f.get("direction", "")))
+        draw = draws.get(key)
+        if draw is None:
+            draw = draws[key] = rng_for(0, "fact-recall", model_name, salt, *key).random()
+        if draw < recall:
             kept.append(f)
     return kept
 

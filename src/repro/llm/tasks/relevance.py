@@ -59,7 +59,8 @@ _last_judged = threading.local()
 def fact_topics(description: str) -> set[str]:
     """Topics implicated by a fragment description's facts and findings.
 
-    A pure function of the text: every fact regex plus every expert rule,
+    A pure function of the text: the fact regexes whose phrase it holds
+    (see :func:`~repro.llm.facts.extract_facts`) plus every expert rule,
     which is most of a relevance judgment's cost.  The handler calls it
     once per fragment, not once per source (see :func:`handle_relevance`).
     """

@@ -45,34 +45,52 @@ class HashedTfIdfEmbedder:
         if dim <= 0:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self._idf: dict[int, float] = {}
+        # The corpus's tokens and their buckets, and each bucket's IDF weight.
+        self._buckets: dict[str, int] = {}
+        self._weights = np.ones(dim, dtype=np.float64)
         self._fitted = False
 
     def fit(self, texts: list[str]) -> "HashedTfIdfEmbedder":
         """Fit IDF weights on the corpus (bucket-level document counts)."""
         n_docs = len(texts)
         df: dict[int, int] = {}
+        table: dict[str, int] = {}
         for text in texts:
-            buckets = {_bucket(tok, self.dim) for tok in _tokenize(text)}
+            buckets: set[int] = set()
+            for tok in _tokenize(text):
+                b = table.get(tok)
+                if b is None:
+                    b = table[tok] = _bucket(tok, self.dim)
+                buckets.add(b)
             for b in buckets:
                 df[b] = df.get(b, 0) + 1
-        self._idf = {
-            b: math.log((1 + n_docs) / (1 + count)) + 1.0 for b, count in df.items()
-        }
+        weights = np.ones(self.dim, dtype=np.float64)  # a bucket no document hit weighs 1
+        for b, count in df.items():
+            weights[b] = math.log((1 + n_docs) / (1 + count)) + 1.0
+        self._buckets = table
+        self._weights = weights
         self._fitted = True
         return self
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed one text; unit-norm unless the text is empty."""
+        """Embed one text; unit-norm unless the text is empty.
+
+        A token the corpus holds takes its bucket from the fitted table;
+        only other tokens are hashed, and the table never grows.  One
+        ``np.bincount`` sums the weights, adding them in token order as
+        a loop of ``vec[b] += weight`` would, so every float is the same.
+        """
         if not self._fitted:
             raise RuntimeError("embedder must be fitted on the corpus first")
-        vec = np.zeros(self.dim, dtype=np.float64)
         tokens = _tokenize(text)
         if not tokens:
-            return vec
-        for tok in tokens:
-            b = _bucket(tok, self.dim)
-            vec[b] += self._idf.get(b, 1.0)
+            return np.zeros(self.dim, dtype=np.float64)
+        known = self._buckets.get
+        buckets = np.array(
+            [b if (b := known(tok)) is not None else _bucket(tok, self.dim) for tok in tokens],
+            dtype=np.intp,
+        )
+        vec = np.bincount(buckets, weights=self._weights[buckets], minlength=self.dim)
         norm = float(np.linalg.norm(vec))
         if norm > 0:
             vec /= norm

@@ -12,9 +12,13 @@ from __future__ import annotations
 import re
 from typing import Callable, TypeVar
 
+from repro.darshan.counters import NONNEGATIVE_COUNTERS
+from repro.darshan.dxt import _NEGATIVE_SEGMENT_RANK
 from repro.darshan.log import DarshanLog, JobHeader
 from repro.darshan.parser import (
+    _NEGATIVE_COUNT,
     _RANK_BELOW_SHARED,
+    _RANK_PAST_NPROCS,
     DarshanParseError,
     ParseReport,
     SkippedLine,
@@ -32,7 +36,10 @@ _MOUNT_RE = re.compile(r"^# mount entry:\t(\S+)\t(\S+)$")
 
 
 def _parse_record_line(
-    line: str, lineno: int, records: dict[tuple[str, str], DarshanRecord]
+    line: str,
+    lineno: int,
+    records: dict[tuple[str, str], DarshanRecord],
+    lines_of: dict[tuple[str, str], list[tuple[int, str]]],
 ) -> None:
     """Fold one tab-separated counter line into ``records`` (or raise)."""
     parts = line.split("\t")
@@ -45,6 +52,8 @@ def _parse_record_line(
         value: int | float = float(value_s)
     else:
         value = int(value_s)
+        if value < 0 and counter in NONNEGATIVE_COUNTERS:
+            raise ValueError(_NEGATIVE_COUNT.format(counter, value))
     rank = int(rank_s)
     if rank < -1:
         raise ValueError(_RANK_BELOW_SHARED.format(rank))
@@ -59,6 +68,7 @@ def _parse_record_line(
             fs_type=fs_type,
         )
         records[key] = rec
+    lines_of.setdefault(key, []).append((lineno, line))
     if isinstance(value, float):
         rec.fcounters[counter] = value
     else:
@@ -87,6 +97,7 @@ def oracle_parse_with_report(
     header_fields: dict[str, str] = {}
     mounts: list[tuple[str, str]] = []
     records: dict[tuple[str, str], DarshanRecord] = {}
+    lines_of: dict[tuple[str, str], list[tuple[int, str]]] = {}
     dxt_text: str | None = None
     dxt_start = 0
     record_lines = 0
@@ -111,7 +122,7 @@ def oracle_parse_with_report(
                 header_fields[m.group(1).strip()] = m.group(2).strip()
             continue
         try:
-            _parse_record_line(line, lineno, records)
+            _parse_record_line(line, lineno, records, lines_of)
         except (DarshanParseError, ValueError) as exc:
             if not lenient:
                 if isinstance(exc, DarshanParseError):
@@ -136,6 +147,23 @@ def oracle_parse_with_report(
         log_version=header_fields.get("darshan log version", "3.41"),
         mounts=mounts,
     )
+
+    # A record whose rank is not below nprocs: every line of it is rejected.
+    past = sorted(
+        (lineno, line, rec.rank, key)
+        for key, rec in records.items()
+        if rec.rank >= header.nprocs
+        for lineno, line in lines_of[key]
+    )
+    if past and not lenient:
+        lineno, _, rank, _ = past[0]
+        raise DarshanParseError(f"line {lineno}: {_RANK_PAST_NPROCS.format(rank, header.nprocs)}")
+    for lineno, line, rank, key in past:
+        records.pop(key, None)
+        record_lines -= 1
+        reason = _RANK_PAST_NPROCS.format(rank, header.nprocs)
+        skipped.append(SkippedLine(lineno=lineno, text=line, reason=reason))
+    skipped.sort(key=lambda skip: skip.lineno)
 
     dxt_segments = None
     dxt_lines = 0
@@ -193,9 +221,12 @@ def oracle_parse_dxt_text(
             raise ValueError(
                 f"DXT line {lineno}: unknown operation {operation!r} (expected read/write)"
             )
+        rank_value = int(rank)
+        if rank_value < 0:
+            raise ValueError(_NEGATIVE_SEGMENT_RANK.format(rank_value))
         return (
             module,
-            int(rank),
+            rank_value,
             path,
             operation,
             int(offset),

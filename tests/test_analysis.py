@@ -248,6 +248,20 @@ class TestBrokenFixtures:
         )
         assert any("'meta'" in m for m in msgs)
 
+    def test_phrase_missing_from_rendering(self, repo_ctx: CheckContext) -> None:
+        phrases = dict(repo_ctx.fact_phrases)
+        phrases["meta"] = " never rendered "
+        bad = dataclasses.replace(repo_ctx, fact_phrases=phrases)
+        msgs = _errors(
+            run_checks(bad, ["fact-grammar-roundtrip"]), "fact-grammar-roundtrip"
+        )
+        assert len(msgs) == 1
+        assert "'meta'" in msgs[0] and "lacks the phrase ' never rendered '" in msgs[0]
+
+    def test_live_phrases_cover_every_kind(self, repo_ctx: CheckContext) -> None:
+        assert set(repo_ctx.fact_phrases) == set(repo_ctx.fact_kinds)
+        assert all(repo_ctx.fact_phrases.values())
+
     def test_missing_example(self, repo_ctx: CheckContext) -> None:
         examples = dict(repo_ctx.fact_examples)
         del examples["meta"]

@@ -427,7 +427,7 @@ def _assert_matches_oracle(text: str) -> None:
             assert trace_digest(log) == _whole_text_digest(log)
 
 
-_EDITS = ("blank", "comment", "move", "repeat", "record-id", "spelling", "tab")
+_EDITS = ("blank", "comment", "move", "repeat", "record-id", "spelling", "tab", "rank")
 _SPELLINGS = ("007", "+5", "1e3", "2.50", "-0", "-12", "-3.250000", "1_000", " 7", "0.000000", "x")
 
 
@@ -455,6 +455,9 @@ def _edited_traces(draw):
             lines[i] = "\t".join(fields)
         elif op == "spelling":
             fields[4] = draw(st.sampled_from(_SPELLINGS))
+            lines[i] = "\t".join(fields)
+        elif op == "rank":  # at, around and past each base text's nprocs
+            fields[1] = draw(st.sampled_from(["-1", "0", "1", "3", "4", "9", "99"]))
             lines[i] = "\t".join(fields)
         else:
             at = draw(st.integers(0, len(lines[i])))
@@ -545,6 +548,139 @@ class TestRankBelowShared:
             f"rank {rank} is below -1, the shared-record rank"
         }
         assert min(r.rank for r in log.records) >= -1
+
+
+class TestNegativeCount:
+    """A byte, operation or size-bin count below 0 is rejected like a value that does not parse.
+
+    Accepted, a negative rank-0 ``POSIX_BYTES_WRITTEN`` failed the whole
+    diagnosis in the rank summary (``gini is defined for non-negative values``).
+    """
+
+    @staticmethod
+    def _text(sb01_trace, counter: str, value: str) -> tuple[str, int]:
+        """sb01 with its rank-0 POSIX ``counter`` set to ``value``, and that line's number."""
+        lines = render_darshan_text(sb01_trace.log).split("\n")
+        head, name = "POSIX\t0\t", f"\t{counter}\t"
+        i = next(i for i, line in enumerate(lines) if line.startswith(head) and name in line)
+        fields = lines[i].split("\t")
+        fields[4] = value
+        lines[i] = "\t".join(fields)
+        return "\n".join(lines), i + 1
+
+    @pytest.mark.parametrize(
+        "counter", ["POSIX_BYTES_WRITTEN", "POSIX_WRITES", "POSIX_OPENS", "POSIX_SIZE_WRITE_0_100"]
+    )
+    def test_strict_names_the_line(self, sb01_trace, counter):
+        text, lineno = self._text(sb01_trace, counter, "-12")
+        message = f"{counter} is -12, but a byte, operation or size-bin count is never negative"
+        with pytest.raises(DarshanParseError, match=f"^line {lineno}: {message}$"):
+            parse_darshan_text(text)
+        _assert_matches_oracle(text)
+
+    def test_lenient_skips_and_counts_the_line(self, sb01_trace):
+        text, lineno = self._text(sb01_trace, "POSIX_BYTES_WRITTEN", "-12")
+        log, report = parse_darshan_text_with_report(text, lenient=True)
+        assert [s.lineno for s in report.skipped] == [lineno]
+        assert "POSIX_BYTES_WRITTEN" not in log.records_for("POSIX")[0].counters
+        DiagnosisService().diagnose(log, "negative-bytes")  # the rank summary holds
+
+    @pytest.mark.parametrize("value", ["-0", "0", "-3.250000"])
+    def test_zero_and_floats_pass(self, sb01_trace, value):
+        text, _ = self._text(sb01_trace, "POSIX_BYTES_WRITTEN", value)
+        _, report = parse_darshan_text_with_report(text)
+        assert report.clean
+        _assert_matches_oracle(text)
+
+    def test_other_counters_may_be_negative(self, sb01_trace):
+        text, _ = self._text(sb01_trace, "POSIX_FILE_ALIGNMENT", "-1")
+        assert parse_darshan_text_with_report(text)[1].clean
+        _assert_matches_oracle(text)
+
+
+class TestRankPastNprocs:
+    """A record whose rank is not below the header's nprocs is rejected, every line of it.
+
+    Accepted, sb01's rank-0 POSIX record moved to rank 9 (of 4 processes)
+    was dropped from the rank summary, which read a POSIX Gini of 0.25
+    instead of 0.0.
+    """
+
+    @pytest.mark.parametrize("rank", [4, 9])
+    def test_strict_names_the_first_line(self, sb01_trace, rank):
+        text, linenos = TestRankBelowShared._text(sb01_trace, rank)
+        message = re.escape(f"rank {rank} is not below the job's nprocs (4)")
+        with pytest.raises(DarshanParseError, match=f"^line {linenos[0]}: {message}$"):
+            parse_darshan_text(text)
+        _assert_matches_oracle(text)
+
+    def test_lenient_skips_and_counts_the_lines(self, sb01_trace):
+        text, linenos = TestRankBelowShared._text(sb01_trace, 9)
+        log, report = parse_darshan_text_with_report(text, lenient=True)
+        assert [s.lineno for s in report.skipped] == linenos
+        assert report.record_lines == parse_darshan_text_with_report(
+            render_darshan_text(sb01_trace.log)
+        )[1].record_lines - len(linenos)
+        assert max(r.rank for r in log.records) < log.header.nprocs
+        assert log.counter_table.memo is None  # not the writer's text for this log
+
+    def test_lenient_keeps_the_other_records(self, sb01_trace, monkeypatch):
+        text, _ = TestRankBelowShared._text(sb01_trace, 9)
+        kept = parse_darshan_text(text, lenient=True).records
+        whole = [r for r in sb01_trace.log.records if not (r.module == "POSIX" and r.rank == 0)]
+        assert [(r.module, r.path, r.rank) for r in kept] == [
+            (r.module, r.path, r.rank) for r in whole
+        ]
+        monkeypatch.setattr(parser_module, "_BLOCK_CHARS", 64)  # records across blocks
+        _assert_matches_oracle(text)
+
+
+class TestNegativeSegmentRank:
+    """A DXT segment rank below 0 is rejected: a segment has no shared rank.
+
+    Accepted, path14's rank-0 segments moved to rank -7 made
+    ``dxt_rank_skew`` name ``slowest_rank: -7``.
+    """
+
+    @staticmethod
+    def _text() -> tuple[str, list[int]]:
+        """path14 with its DXT section, rank-0 X_POSIX/X_MPIIO segments at -7."""
+        lines = _BASE_TEXTS["path14"]().split("\n")
+        marker = next(i for i, line in enumerate(lines) if line.startswith("# DXT trace"))
+        moved = []
+        for i in range(marker + 1, len(lines)):
+            fields = lines[i].split()
+            if len(fields) == 10 and fields[0] in ("X_POSIX", "X_MPIIO") and fields[1] == "0":
+                lines[i] = lines[i].replace(" 0 ", " -7 ", 1)
+                moved.append(i + 1)
+        assert moved
+        return "\n".join(lines), moved
+
+    def test_strict_raises(self):
+        text, _ = self._text()
+        message = "rank -7 is below 0; a DXT segment belongs to one process"
+        with pytest.raises(DarshanParseError, match=f"^{message}$"):
+            parse_darshan_text(text)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_dxt_text(text[text.index("# DXT trace") :])
+        _assert_matches_oracle(text)
+
+    def test_lenient_skips_and_counts(self):
+        from repro.darshan.dxt import dxt_temporal_facts
+
+        text, moved = self._text()
+        log, report = parse_darshan_text_with_report(text, lenient=True)
+        assert [s.lineno for s in report.skipped] == moved
+        assert int(log.dxt_segments.rank.min()) >= 0
+        ranks = [f.get("slowest_rank") for f in dxt_temporal_facts(log.dxt_segments)]
+        assert -7 not in ranks
+        section = text[text.index("# DXT trace") :]
+        skipped: list = []
+        table = parse_dxt_text(section, lenient=True, skipped=skipped)
+        oracle_skipped: list = []
+        oracle = oracle_parse_dxt_text(section, lenient=True, skipped=oracle_skipped)
+        assert dxt_digest(table) == dxt_digest(oracle)
+        assert skipped == oracle_skipped and len(skipped) == len(moved)
 
 
 class TestLenientDamageSweep:
